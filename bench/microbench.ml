@@ -68,15 +68,21 @@ let test_ebpf_splice =
   Test.make ~name:"ebpf/splice-program-miss" (Staged.stage (fun () ->
       ignore (Flextoe.Ebpf.run prog ~maps:[| map |] ~now_ns:0L ~packet)))
 
-let test_event_queue =
-  Test.make ~name:"sim/event-queue-256" (Staged.stage (fun () ->
-      let q = Sim.Event_queue.create () in
-      for i = 0 to 255 do
-        Sim.Event_queue.push q ((i * 7919) mod 1024) i
-      done;
-      while not (Sim.Event_queue.is_empty q) do
-        ignore (Sim.Event_queue.pop q)
-      done))
+(* Fill a fresh queue to [depth] entries, then drain it the way
+   [Sim.Engine.run] does, with [min_time] and [pop_min]. 2,048 is about
+   the pending-event peak of a 1,024-connection open-loop world, where
+   the heap is deep. *)
+let event_queue_case depth =
+  Test.make ~name:(Printf.sprintf "sim/event-queue-%d" depth)
+    (Staged.stage (fun () ->
+         let q = Sim.Event_queue.create () in
+         for i = 0 to depth - 1 do
+           Sim.Event_queue.push q ((i * 7919) mod (4 * depth)) i
+         done;
+         while not (Sim.Event_queue.is_empty q) do
+           ignore (Sim.Event_queue.min_time q);
+           ignore (Sim.Event_queue.pop_min q)
+         done))
 
 let test_end_to_end_rpc =
   Test.make ~name:"sim/flextoe-1ms-echo" (Staged.stage (fun () ->
@@ -101,7 +107,8 @@ let benchmarks =
     test_reassembly;
     test_sequencer;
     test_ebpf_splice;
-    test_event_queue;
+    event_queue_case 256;
+    event_queue_case 2048;
     test_end_to_end_rpc;
   ]
 

@@ -13,7 +13,11 @@ type t
 
 val create : size:int -> t
 (** [size] must be positive (FlexTOE would also require a power of
-    two; we only require positivity). *)
+    two; we only require positivity). The backing memory starts at
+    4 KiB (or [size] if smaller) and doubles, up to [size], the first
+    time a write or read touches a higher ring index; positions and
+    contents are as if the whole ring existed from the start, with
+    never-written bytes reading as zero. *)
 
 val size : t -> int
 

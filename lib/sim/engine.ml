@@ -107,34 +107,40 @@ let solo_only t op =
     invalid_arg ("Engine." ^ op ^ ": engine is a cluster LP; drive it with \
                   Engine.Cluster.run")
 
+(* Run the earliest event, whose timestamp the caller has just read
+   from [Event_queue.min_time]. *)
+let fire t time =
+  let k = Event_queue.pop_min t.queue in
+  if time > t.clock then t.clock <- time;
+  t.processed <- t.processed + 1;
+  k ()
+
 let step t =
   solo_only t "step";
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, k) ->
-      t.clock <- max t.clock time;
-      t.processed <- t.processed + 1;
-      k ();
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    fire t (Event_queue.min_time t.queue);
+    true
+  end
+
+(* Execute every event due at or before [limit], stopping once
+   [t.processed] reaches [budget]. Allocates nothing per event. *)
+let run_until t ~limit ~budget =
+  let q = t.queue in
+  let running = ref true in
+  while !running do
+    if t.processed < budget && not (Event_queue.is_empty q) then begin
+      let next = Event_queue.min_time q in
+      if next <= limit then fire t next else running := false
+    end
+    else running := false
+  done
 
 let run ?until ?max_events t =
   solo_only t "run";
-  let continue () =
-    (match max_events with Some m -> t.processed < m | None -> true)
-    &&
-    match (until, Event_queue.peek_time t.queue) with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some u, Some next -> next <= u
-  in
-  while continue () do
-    match Event_queue.pop t.queue with
-    | None -> ()
-    | Some (time, k) ->
-        t.clock <- max t.clock time;
-        t.processed <- t.processed + 1;
-        k ()
-  done;
+  let limit = match until with Some u -> u | None -> max_int in
+  let budget = match max_events with Some m -> m | None -> max_int in
+  run_until t ~limit ~budget;
   match until with
   | Some u when t.clock < u -> t.clock <- u
   | _ -> ()
@@ -307,31 +313,15 @@ module Cluster = struct
       let limit =
         min (if horizon = max_int then max_int else horizon - 1) until
       in
-      let progressed = ref false in
-      let continue () =
-        match Event_queue.peek_time lp.queue with
-        | Some next -> next <= limit
-        | None -> false
-      in
-      while continue () do
-        match Event_queue.pop lp.queue with
-        | None -> ()
-        | Some (time, k) ->
-            lp.clock <- max lp.clock time;
-            lp.processed <- lp.processed + 1;
-            k ();
-            progressed := true
-      done;
+      let processed0 = lp.processed in
+      run_until lp ~limit ~budget:max_int;
+      let progressed = ref (lp.processed > processed0) in
       (* The earliest virtual time at which this LP could still
          execute anything: its next local event or the first instant
          an input could deliver. Any future send leaves at or after
          this, so (earliest + latency) is a sound, monotone output
          promise. *)
-      let earliest =
-        match Event_queue.peek_time lp.queue with
-        | Some nt -> min nt horizon
-        | None -> horizon
-      in
+      let earliest = min (Event_queue.min_time lp.queue) horizon in
       if earliest > until then begin
         lp.lp_done <- true;
         if lp.clock < until then lp.clock <- until;

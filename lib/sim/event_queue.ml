@@ -1,26 +1,40 @@
 type handle = int
 
-type 'a entry = {
-  time : Time.t;
-  major : int;
-  minor : int;
-  seq : int;
-  id : handle;
-  value : 'a;
-}
-(* [id] is -1 for events that cannot be cancelled.
-
-   Entries order by (time, major, minor, seq). Plain pushes use
-   rank (1, 0), so among themselves they keep the historical
+(* A 4-ary min-heap stored as parallel arrays: slot [i] of [time],
+   [rank], [seq], [id] and [value] together make one entry, and the
+   children of entry [i] are entries [4i+1 .. 4i+4]. Entries order by
+   (time, major, minor, seq), where [rank = major lsl 32 lor minor]
+   packs the middle two keys into one int. Plain pushes use rank
+   (1, 0), so among themselves they keep the historical
    (time, insertion-seq) order. The parallel engine inserts cross-LP
    channel deliveries with [push_keyed] at major 0 and minor = the
    channel id: at equal timestamps, channel messages run before local
    events, ordered across channels by channel id and within a channel
    by FIFO arrival — none of which depends on when the scheduler
-   happened to drain them into the wheel. *)
+   happened to drain them into the wheel.
+
+   A 4-ary heap is half as deep as a binary one, and a sift-down
+   compares the four children, which sit next to each other in each
+   array. Sifts move a hole rather than swapping, so each level costs
+   one store per array. No entry is boxed: pushing and popping
+   allocate nothing once the arrays are large enough.
+
+   Cancellation. [id] is -1 for events that cannot be cancelled;
+   a cancellable event gets the next counter value as its handle,
+   which stays in [live_handles] until the event is cancelled or pops.
+   A cancelled entry stays in the heap and is skipped when it reaches
+   the top. *)
+
+let minor_limit = 1 lsl 32
+let major_limit = 1 lsl 30
+let plain_rank = 1 lsl 32
 
 type 'a t = {
-  mutable heap : 'a entry option array;
+  mutable time : int array;
+  mutable rank : int array;
+  mutable seq : int array;
+  mutable id : int array;
+  mutable value : 'a array;
   mutable size : int;
   mutable next_seq : int;
   mutable next_id : int;
@@ -28,9 +42,20 @@ type 'a t = {
   mutable live : int;
 }
 
+(* Filler for vacated [value] cells, so the heap never keeps a popped
+   value reachable. It is an immediate, so arrays made from it are
+   never flat float arrays, and it is never returned to a caller. *)
+let vacant () : 'a = Obj.magic 0
+
+let initial_capacity = 64
+
 let create () =
   {
-    heap = Array.make 64 None;
+    time = Array.make initial_capacity 0;
+    rank = Array.make initial_capacity 0;
+    seq = Array.make initial_capacity 0;
+    id = Array.make initial_capacity 0;
+    value = Array.make initial_capacity (vacant ());
     size = 0;
     next_seq = 0;
     next_id = 0;
@@ -38,67 +63,119 @@ let create () =
     live = 0;
   }
 
-let entry_lt a b =
-  a.time < b.time
-  || (a.time = b.time
-     && (a.major < b.major
-        || (a.major = b.major
-           && (a.minor < b.minor || (a.minor = b.minor && a.seq < b.seq)))))
-
-let get q i =
-  match q.heap.(i) with
-  | Some e -> e
-  | None -> assert false
-
-let swap q i j =
-  let tmp = q.heap.(i) in
-  q.heap.(i) <- q.heap.(j);
-  q.heap.(j) <- tmp
-
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt (get q i) (get q parent) then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.size && entry_lt (get q l) (get q !smallest) then smallest := l;
-  if r < q.size && entry_lt (get q r) (get q !smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
-
 let grow q =
-  let heap = Array.make (2 * Array.length q.heap) None in
-  Array.blit q.heap 0 heap 0 q.size;
-  q.heap <- heap
+  let cap = 2 * Array.length q.time in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 q.size;
+    b
+  in
+  q.time <- extend q.time 0;
+  q.rank <- extend q.rank 0;
+  q.seq <- extend q.seq 0;
+  q.id <- extend q.id 0;
+  q.value <- extend q.value (vacant ())
 
-let push_entry q time ~major ~minor value id =
-  if q.size = Array.length q.heap then grow q;
-  let e = { time; major; minor; seq = q.next_seq; id; value } in
-  q.next_seq <- q.next_seq + 1;
-  q.heap.(q.size) <- Some e;
-  q.size <- q.size + 1;
+(* Place (t, r, s, h, v) by moving the hole at [i] up to its spot. *)
+let sift_up q i t r s h v =
+  let time = q.time and rank = q.rank and seq = q.seq in
+  let id = q.id and value = q.value in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) lsr 2 in
+    let tp = time.(p) in
+    if t < tp || (t = tp && (r < rank.(p) || (r = rank.(p) && s < seq.(p))))
+    then begin
+      time.(!i) <- tp;
+      rank.(!i) <- rank.(p);
+      seq.(!i) <- seq.(p);
+      id.(!i) <- id.(p);
+      value.(!i) <- value.(p);
+      i := p
+    end
+    else moving := false
+  done;
+  let i = !i in
+  time.(i) <- t;
+  rank.(i) <- r;
+  seq.(i) <- s;
+  id.(i) <- h;
+  value.(i) <- v
+
+(* Place (t, r, s, h, v) by moving the hole at [i] down past every
+   child that orders before it. *)
+let sift_down q i t r s h v =
+  let time = q.time and rank = q.rank and seq = q.seq in
+  let id = q.id and value = q.value in
+  let n = q.size in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let first = (4 * !i) + 1 in
+    if first >= n then moving := false
+    else begin
+      (* smallest of the (up to four) children *)
+      let c = ref first in
+      let last = if first + 3 < n then first + 3 else n - 1 in
+      for j = first + 1 to last do
+        let tj = time.(j) and tc = time.(!c) in
+        if
+          tj < tc
+          || tj = tc
+             && (rank.(j) < rank.(!c)
+                || (rank.(j) = rank.(!c) && seq.(j) < seq.(!c)))
+        then c := j
+      done;
+      let c = !c in
+      let tc = time.(c) in
+      if tc < t || (tc = t && (rank.(c) < r || (rank.(c) = r && seq.(c) < s)))
+      then begin
+        time.(!i) <- tc;
+        rank.(!i) <- rank.(c);
+        seq.(!i) <- seq.(c);
+        id.(!i) <- id.(c);
+        value.(!i) <- value.(c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  let i = !i in
+  time.(i) <- t;
+  rank.(i) <- r;
+  seq.(i) <- s;
+  id.(i) <- h;
+  value.(i) <- v
+
+(* Drop the top entry: the last entry fills the hole at the root. *)
+let remove_top q =
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then
+    sift_down q 0 q.time.(n) q.rank.(n) q.seq.(n) q.id.(n) q.value.(n);
+  q.value.(n) <- vacant ()
+
+let push_entry q time rank value h =
+  if q.size = Array.length q.time then grow q;
+  let s = q.next_seq in
+  q.next_seq <- s + 1;
+  let i = q.size in
+  q.size <- i + 1;
   q.live <- q.live + 1;
-  sift_up q (q.size - 1)
+  sift_up q i time rank s h value
 
-let push q time value = push_entry q time ~major:1 ~minor:0 value (-1)
+let push q time value = push_entry q time plain_rank value (-1)
 
 let push_keyed q time ~major ~minor value =
-  push_entry q time ~major ~minor value (-1)
+  if major < 0 || major >= major_limit || minor < 0 || minor >= minor_limit
+  then invalid_arg "Event_queue.push_keyed: major or minor out of range";
+  push_entry q time ((major lsl 32) lor minor) value (-1)
 
 let push_cancellable q time value =
-  let id = q.next_id in
-  q.next_id <- id + 1;
-  Hashtbl.replace q.live_handles id ();
-  push_entry q time ~major:1 ~minor:0 value id;
-  id
+  let h = q.next_id in
+  q.next_id <- h + 1;
+  Hashtbl.replace q.live_handles h ();
+  push_entry q time plain_rank value h;
+  h
 
 let cancel q h =
   if Hashtbl.mem q.live_handles h then begin
@@ -106,41 +183,41 @@ let cancel q h =
     q.live <- q.live - 1
   end
 
-(* A popped entry is dead if it was cancellable and its handle is no
-   longer live (i.e. [cancel] ran before it fired). *)
-let entry_dead q e = e.id >= 0 && not (Hashtbl.mem q.live_handles e.id)
-
-let pop_raw q =
-  if q.size = 0 then None
-  else begin
-    let e = get q 0 in
-    q.size <- q.size - 1;
-    q.heap.(0) <- q.heap.(q.size);
-    q.heap.(q.size) <- None;
-    if q.size > 0 then sift_down q 0;
-    Some e
+(* Remove cancelled entries from the top, so the root is live (or the
+   heap is empty). *)
+let rec skip_dead q =
+  if q.size > 0 then begin
+    let h = q.id.(0) in
+    if h >= 0 && not (Hashtbl.mem q.live_handles h) then begin
+      remove_top q;
+      skip_dead q
+    end
   end
 
-let rec pop q =
-  match pop_raw q with
-  | None -> None
-  | Some e ->
-      if entry_dead q e then pop q
-      else begin
-        if e.id >= 0 then Hashtbl.remove q.live_handles e.id;
-        q.live <- q.live - 1;
-        Some (e.time, e.value)
-      end
+let min_time q =
+  skip_dead q;
+  if q.size = 0 then max_int else q.time.(0)
 
-let rec peek_time q =
+let pop_min q =
+  skip_dead q;
+  if q.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  let v = q.value.(0) in
+  let h = q.id.(0) in
+  if h >= 0 then Hashtbl.remove q.live_handles h;
+  remove_top q;
+  q.live <- q.live - 1;
+  v
+
+let pop q =
+  skip_dead q;
   if q.size = 0 then None
   else
-    let e = get q 0 in
-    if entry_dead q e then begin
-      ignore (pop_raw q);
-      peek_time q
-    end
-    else Some e.time
+    let t = q.time.(0) in
+    Some (t, pop_min q)
+
+let peek_time q =
+  skip_dead q;
+  if q.size = 0 then None else Some q.time.(0)
 
 let is_empty q = q.live = 0
 let length q = q.live

@@ -1,8 +1,13 @@
 (** Priority queue of timed events.
 
-    A binary min-heap keyed on (time, insertion sequence). Events with
-    equal timestamps pop in insertion order, which makes simulations
-    deterministic without relying on heap tie-breaking accidents. *)
+    A 4-ary min-heap stored as parallel arrays (struct of arrays),
+    keyed on (time, major, minor, insertion sequence). Plain pushes
+    share one (major, minor) rank, so events with equal timestamps pop
+    in insertion order, which makes simulations deterministic without
+    relying on heap tie-breaking accidents. Entries are not boxed:
+    {!push}, {!min_time} and {!pop_min} allocate nothing once the
+    arrays have grown to the queue's peak depth, and a popped value is
+    no longer reachable from the queue. *)
 
 type 'a t
 
@@ -22,7 +27,8 @@ val push_keyed : 'a t -> Time.t -> major:int -> minor:int -> 'a -> unit
     channel id, so at equal timestamps channel messages run before
     local events, in channel-id order — an order independent of when
     the scheduler drained them into the wheel, which is what makes
-    multi-domain runs bit-reproducible. *)
+    multi-domain runs bit-reproducible. Raises [Invalid_argument]
+    unless [0 <= major < 2^30] and [0 <= minor < 2^32]. *)
 
 val push_cancellable : 'a t -> Time.t -> 'a -> handle
 (** Like {!push} but returns a handle for {!cancel}. *)
@@ -30,6 +36,15 @@ val push_cancellable : 'a t -> Time.t -> 'a -> handle
 val cancel : 'a t -> handle -> unit
 (** Cancel a previously pushed event. Cancelling an event that has
     already popped (or was already cancelled) is a no-op. *)
+
+val min_time : 'a t -> Time.t
+(** Timestamp of the earliest live event; [max_int] when there is
+    none. Allocates nothing. *)
+
+val pop_min : 'a t -> 'a
+(** Remove the earliest live event and return its value; its
+    timestamp is the {!min_time} just before the call. Allocates
+    nothing. Raises [Invalid_argument] if no event is live. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live event. *)

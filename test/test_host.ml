@@ -91,6 +91,36 @@ let prop_payload_stream_semantics =
                (Host.Payload_buf.read b ~off:o ~len:(Bytes.length data)))
            chunks)
 
+let prop_payload_growth_matches_flat_ring =
+  (* A ring bigger than the initial 4 KiB backing (and not a multiple
+     of it) agrees with a flat zero-filled ring under random writes and
+     reads, wrapping ones included. *)
+  QCheck.Test.make ~name:"payload buffer: growing ring = flat ring"
+    ~count:100
+    QCheck.(
+      list_of_size (Gen.int_range 1 40)
+        (triple bool (int_bound 100_000) (int_bound 6_000)))
+    (fun ops ->
+      let size = 20_000 in
+      let b = Host.Payload_buf.create ~size in
+      let flat = Bytes.make size '\000' in
+      let ring o = ((o mod size) + size) mod size in
+      List.for_all
+        (fun (is_write, off, len) ->
+          if is_write then begin
+            let src = Bytes.init len (fun i -> Char.chr ((off + i) land 0xFF)) in
+            Host.Payload_buf.write b ~off ~src ~src_off:0 ~len;
+            for i = 0 to len - 1 do
+              Bytes.set flat (ring (off + i)) (Bytes.get src i)
+            done;
+            true
+          end
+          else
+            Bytes.equal
+              (Host.Payload_buf.read b ~off ~len)
+              (Bytes.init len (fun i -> Bytes.get flat (ring (off + i)))))
+        ops)
+
 let test_payload_oversize_rejected () =
   let b = Host.Payload_buf.create ~size:8 in
   Alcotest.check_raises "oversize write"
@@ -220,6 +250,7 @@ let suite =
     Alcotest.test_case "payload buffer wraparound" `Quick
       test_payload_wraparound;
     QCheck_alcotest.to_alcotest prop_payload_stream_semantics;
+    QCheck_alcotest.to_alcotest prop_payload_growth_matches_flat_ring;
     Alcotest.test_case "payload oversize rejected" `Quick
       test_payload_oversize_rejected;
     Alcotest.test_case "framing simple" `Quick test_framing_simple;

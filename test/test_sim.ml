@@ -83,6 +83,196 @@ let prop_queue_sorted =
       List.length popped = List.length times
       && List.sort compare times = popped)
 
+(* Model-based check: random interleavings of every queue operation
+   against a sorted-list reference ordered by (time, major, minor,
+   seq), with [length] and [is_empty] checked after each step. Few distinct times, majors and minors make equal-key ties the
+   common case; long op lists push the heap well past its initial
+   64-entry capacity. *)
+type q_op =
+  | Push of int
+  | Push_keyed of int * int * int
+  | Push_cancellable of int
+  | Cancel of int  (* index into the handles issued so far *)
+  | Pop
+  | Pop_min
+  | Peek_time
+  | Min_time
+
+let pp_q_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Push_keyed (t, ma, mi) -> Printf.sprintf "push_keyed %d (%d,%d)" t ma mi
+  | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Pop -> "pop"
+  | Pop_min -> "pop_min"
+  | Peek_time -> "peek_time"
+  | Min_time -> "min_time"
+
+let q_ops_arb =
+  let open QCheck.Gen in
+  let time = frequency [ (4, int_bound 3); (1, int_bound 100_000) ] in
+  let op =
+    frequency
+      [
+        (6, map (fun t -> Push t) time);
+        ( 4,
+          map3
+            (fun t ma mi -> Push_keyed (t, ma, mi))
+            time (int_bound 2) (int_bound 3) );
+        (3, map (fun t -> Push_cancellable t) time);
+        (2, map (fun k -> Cancel k) nat);
+        (3, return Pop);
+        (3, return Pop_min);
+        (1, return Peek_time);
+        (1, return Min_time);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_q_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 0 1500) op)
+
+(* Reference entry: (time, major, minor, seq), value = seq, and the
+   index of its cancellation handle (-1 if none). *)
+type q_ref = { r_key : int * int * int * int; r_handle : int }
+
+let prop_queue_model =
+  QCheck.Test.make
+    ~name:"event queue agrees with a sorted-list reference" ~count:100
+    q_ops_arb (fun ops ->
+      let q = Sim.Event_queue.create () in
+      let model = ref [] and seq = ref 0 in
+      let handles = ref [||] in
+      let insert ~time ~major ~minor ~handle =
+        let e = { r_key = (time, major, minor, !seq); r_handle = handle } in
+        let rec ins = function
+          | x :: rest when compare x.r_key e.r_key < 0 -> x :: ins rest
+          | l -> e :: l
+        in
+        model := ins !model;
+        let s = !seq in
+        incr seq;
+        s
+      in
+      let head_time () =
+        match !model with { r_key = t, _, _, _; _ } :: _ -> Some t | [] -> None
+      in
+      let value_of e = let _, _, _, s = e.r_key in s in
+      let fail i op fmt =
+        QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) i (pp_q_op op)
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push t ->
+              let v = insert ~time:t ~major:1 ~minor:0 ~handle:(-1) in
+              Sim.Event_queue.push q t v
+          | Push_keyed (t, major, minor) ->
+              let v = insert ~time:t ~major ~minor ~handle:(-1) in
+              Sim.Event_queue.push_keyed q t ~major ~minor v
+          | Push_cancellable t ->
+              let idx = Array.length !handles in
+              let v = insert ~time:t ~major:1 ~minor:0 ~handle:idx in
+              let h = Sim.Event_queue.push_cancellable q t v in
+              handles := Array.append !handles [| h |]
+          | Cancel k ->
+              let n = Array.length !handles in
+              if n > 0 then begin
+                let idx = k mod n in
+                Sim.Event_queue.cancel q !handles.(idx);
+                model := List.filter (fun e -> e.r_handle <> idx) !model
+              end
+          | Pop -> (
+              let got = Sim.Event_queue.pop q in
+              match (!model, got) with
+              | [], None -> ()
+              | e :: rest, Some (t, v) ->
+                  let et, _, _, _ = e.r_key in
+                  if (t, v) <> (et, value_of e) then
+                    fail i op "got (%d, %d), want (%d, %d)" t v et
+                      (value_of e);
+                  model := rest
+              | _ -> fail i op "emptiness disagrees")
+          | Pop_min -> (
+              match !model with
+              | [] -> (
+                  match Sim.Event_queue.pop_min q with
+                  | _ -> fail i op "pop_min on an empty queue returned"
+                  | exception Invalid_argument _ -> ())
+              | e :: rest ->
+                  let et, _, _, _ = e.r_key in
+                  let t = Sim.Event_queue.min_time q in
+                  let v = Sim.Event_queue.pop_min q in
+                  if (t, v) <> (et, value_of e) then
+                    fail i op "got (%d, %d), want (%d, %d)" t v et
+                      (value_of e);
+                  model := rest)
+          | Peek_time ->
+              if Sim.Event_queue.peek_time q <> head_time () then
+                fail i op "peek_time disagrees"
+          | Min_time ->
+              let want = Option.value (head_time ()) ~default:max_int in
+              if Sim.Event_queue.min_time q <> want then
+                fail i op "min_time %d, want %d" (Sim.Event_queue.min_time q)
+                  want);
+          let n = List.length !model in
+          if Sim.Event_queue.length q <> n then
+            fail i op "length %d, want %d" (Sim.Event_queue.length q) n;
+          if Sim.Event_queue.is_empty q <> (n = 0) then
+            fail i op "is_empty disagrees")
+        ops;
+      true)
+
+let test_queue_float_values () =
+  (* Float values stay boxed in the value array. *)
+  let q = Sim.Event_queue.create () in
+  List.iter (fun t -> Sim.Event_queue.push q t (float_of_int t /. 2.))
+    [ 3; 1; 2 ];
+  let vs = List.init 3 (fun _ -> Sim.Event_queue.pop_min q) in
+  Alcotest.(check (list (float 0.))) "floats in order" [ 0.5; 1.0; 1.5 ] vs
+
+let test_queue_releases_popped () =
+  (* Popped (and cancelled-then-dropped) closures must become garbage
+     while the queue itself is still alive. *)
+  let q = Sim.Event_queue.create () in
+  let n = 300 in
+  let w = Weak.create n in
+  let handles = Array.make n None in
+  for i = 0 to n - 1 do
+    let k () = i in
+    Weak.set w i (Some k);
+    let t = (i * 7919) mod 97 in
+    if i mod 3 = 0 then
+      handles.(i) <- Some (Sim.Event_queue.push_cancellable q t k)
+    else Sim.Event_queue.push q t k
+  done;
+  let popped = Array.make n false in
+  for _ = 1 to n / 2 do
+    let k = Sim.Event_queue.pop_min q in
+    popped.(k ()) <- true
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    if popped.(i) then
+      check_bool (Printf.sprintf "popped closure %d collected" i) false
+        (Weak.check w i)
+  done;
+  Array.iteri
+    (fun i h ->
+      match h with
+      | Some h when not popped.(i) -> Sim.Event_queue.cancel q h
+      | _ -> ())
+    handles;
+  while not (Sim.Event_queue.is_empty q) do
+    ignore (Sim.Event_queue.pop q)
+  done;
+  check_int "cancelled entries dropped" max_int (Sim.Event_queue.min_time q);
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check_bool (Printf.sprintf "closure %d collected" i) false (Weak.check w i)
+  done;
+  ignore (Sys.opaque_identity q)
+
 (* --- Engine ----------------------------------------------------------- *)
 
 let test_engine_run_until () =
@@ -339,6 +529,11 @@ let suite =
     Alcotest.test_case "event queue FIFO ties" `Quick test_queue_fifo_ties;
     Alcotest.test_case "event queue cancel" `Quick test_queue_cancel;
     QCheck_alcotest.to_alcotest prop_queue_sorted;
+    QCheck_alcotest.to_alcotest prop_queue_model;
+    Alcotest.test_case "event queue float values" `Quick
+      test_queue_float_values;
+    Alcotest.test_case "event queue releases popped values" `Quick
+      test_queue_releases_popped;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine nested scheduling" `Quick
       test_engine_nested_schedule;
