@@ -84,7 +84,7 @@ let par_sweep ~domains =
   let stats =
     List.map
       (fun b ->
-        let lp = Cl.add_lp ~name:(Printf.sprintf "batch%d" b) ~seed:42L cl in
+        let lp = Cl.add_lp ~seed:42L cl in
         let w = { engine = lp; fabric = Netsim.Fabric.create lp () } in
         let st = build_degree w b in
         (* [measure]'s between-runs start_measuring is a solo-engine

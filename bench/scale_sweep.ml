@@ -200,9 +200,7 @@ let sweep () =
   let pts =
     List.map
       (fun flows ->
-        let lp =
-          Cl.add_lp ~name:(Printf.sprintf "scale%d" flows) ~seed:42L cl
-        in
+        let lp = Cl.add_lp ~seed:42L cl in
         build_point lp ~flows)
       points
   in

@@ -715,7 +715,7 @@ let create engine ~fabric ~profile:prof ~ip ?(app_cores = 1)
         by_id = Hashtbl.create 256;
         pending = Tcp.Flow.Tbl.create 64;
         listeners = Hashtbl.create 8;
-        rng = Sim.Rng.split (Sim.Engine.Local.rng engine);
+        rng = Sim.Rng.split (Sim.Engine.rng engine);
         next_id = 0;
         next_port = 41_000;
         rr_core = 0;

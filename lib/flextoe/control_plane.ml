@@ -856,7 +856,7 @@ let create engine ~config ~datapath ~core () =
       cfg = config;
       dp = datapath;
       core;
-      rng = Sim.Rng.split (Sim.Engine.Local.rng engine);
+      rng = Sim.Rng.split (Sim.Engine.rng engine);
       guard = Datapath.guard datapath;
       paused = Hashtbl.create 4;
       listeners = Hashtbl.create 16;

@@ -378,8 +378,7 @@ let trace_group_points t group =
    the stage's group costs a few cycles (instrumentation executes
    whether or not the event fires); event counters themselves are
    recorded semantically by [trace_event]. *)
-let trace_cycles t group ~conn =
-  ignore conn;
+let trace_cycles t group =
   if Sim.Trace.enabled_count t.traces = 0 then 0
   else begin
     let pts = trace_group_points t group in
@@ -390,7 +389,7 @@ let trace_cycles t group ~conn =
 
 (* Record a semantic event on one named tracepoint (counts only when
    that point is enabled). *)
-let trace_event t group name ~conn =
+let trace_event t group name =
   (* Fast path: tracing disabled costs one branch, like the real
      thing. *)
   if Sim.Trace.enabled_count t.traces > 0 then begin
@@ -399,28 +398,27 @@ let trace_event t group name ~conn =
     Array.iter
       (fun p ->
         if Sim.Trace.enabled p && Sim.Trace.point_name p = full then
-          Sim.Trace.hit t.traces p ~now:(Sim.Engine.now t.engine) ~conn
-            ~arg:0)
+          Sim.Trace.hit p)
       pts
   end
 
 (* Transport events worth counting, derived from an RX verdict: the
    bpftrace-style tracepoints of §5.1. *)
 let trace_rx_verdict t (v : Meta.rx_verdict) =
-  if Sim.Trace.enabled_count t.traces = 0 then ()
-  else
-  let conn = v.Meta.v_conn in
-  trace_event t "protocol" "rx_seg" ~conn;
-  if v.Meta.v_fast_retx then trace_event t "protocol" "fast_retx" ~conn;
-  if v.Meta.v_fin_reached then trace_event t "protocol" "fin" ~conn;
-  (match v.Meta.v_place with
-  | Some _ when v.Meta.v_rx_advance = 0 ->
-      trace_event t "protocol" "ooo_seg" ~conn
-  | _ -> ());
-  if v.Meta.v_ack <> None && v.Meta.v_rx_advance = 0 && v.Meta.v_place = None
-  then trace_event t "protocol" "dup_ack" ~conn;
-  if v.Meta.v_wake_tx then trace_event t "protocol" "win_update" ~conn;
-  if v.Meta.v_ack <> None then trace_event t "postproc" "ack_gen" ~conn
+  if Sim.Trace.enabled_count t.traces > 0 then begin
+    trace_event t "protocol" "rx_seg";
+    if v.Meta.v_fast_retx then trace_event t "protocol" "fast_retx";
+    if v.Meta.v_fin_reached then trace_event t "protocol" "fin";
+    (match v.Meta.v_place with
+    | Some _ when v.Meta.v_rx_advance = 0 ->
+        trace_event t "protocol" "ooo_seg"
+    | _ -> ());
+    if
+      v.Meta.v_ack <> None && v.Meta.v_rx_advance = 0 && v.Meta.v_place = None
+    then trace_event t "protocol" "dup_ack";
+    if v.Meta.v_wake_tx then trace_event t "protocol" "win_update";
+    if v.Meta.v_ack <> None then trace_event t "postproc" "ack_gen"
+  end
 
 let pipelined t = t.cfg.Config.parallelism.Config.pipelined
 
@@ -661,7 +659,7 @@ let notify_libtoe_now t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
   let c = t.cfg.Config.costs in
-  let extra = trace_cycles t "ctx" ~conn:conn_idx in
+  let extra = trace_cycles t "ctx" in
   let deliver ~join () =
     sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx ~arg:gseq;
     if gseq >= 0 then sc_seg_end t ~track:"seg_rx" ~id:gseq;
@@ -742,7 +740,7 @@ let arx_flush t acc =
         let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
         let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
         let c = t.cfg.Config.costs in
-        let extra = trace_cycles t "ctx" ~conn:conn_idx in
+        let extra = trace_cycles t "ctx" in
         let cycles =
           c.Config.ctx_desc
           + ((acc.aa_count - 1) * c.Config.notify_coalesce)
@@ -985,7 +983,7 @@ type dma_work = {
 let dma_stage t (w : dma_work) =
   let c = t.cfg.Config.costs in
   let fpc = next_dma_fpc t in
-  let extra = trace_cycles t "dma" ~conn:w.dw_conn in
+  let extra = trace_cycles t "dma" in
   (* Doorbell amortization: in batched mode the MMIO ring costs
      [dma_doorbell] once per [b_doorbell] descriptors instead of being
      folded into [dma_desc]. Unbatched mode leaves the counter (and
@@ -1102,7 +1100,7 @@ let postproc_stage t fg (w : post_work) =
     | Some _, Post_tx _ -> c.Config.pcap_capture
     | _ -> 0
   in
-  let extra = trace_cycles t "postproc" ~conn:conn_idx in
+  let extra = trace_cycles t "postproc" in
   let gseq = match w with Post_rx v -> v.Meta.v_gseq | _ -> -1 in
   Nfp.Fpc.submit fpc
     [ Nfp.Fpc.Mem Nfp.Memory.Cls; Compute (cost + extra + capture_extra) ]
@@ -1269,7 +1267,7 @@ let protocol_rx t (s : Meta.rx_summary) =
           if early then release t s.Meta.conn;
           let phases = proto_state_phases t cs in
           let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" ~conn:s.Meta.conn in
+          let extra = trace_cycles t "protocol" in
           let cost =
             if Bytes.length s.Meta.payload = 0 && not s.Meta.fin then
               c.Config.protocol_rx_ack
@@ -1301,7 +1299,7 @@ let protocol_tx t ~conn:conn_idx =
           if early then release t conn_idx;
           let phases = proto_state_phases t cs in
           let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" ~conn:conn_idx in
+          let extra = trace_cycles t "protocol" in
           ignore fg;
           Nfp.Fpc.submit (proto_fpc_for t cs)
             (phases @ [ Compute (c.Config.protocol_tx + extra) ])
@@ -1315,7 +1313,7 @@ let protocol_tx t ~conn:conn_idx =
                  if not early then release t conn_idx;
                  match d with
                  | Some d ->
-                     trace_event t "protocol" "tx_seg" ~conn:conn_idx;
+                     trace_event t "protocol" "tx_seg";
                      sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx
                        ~id:d.Meta.t_gseq;
                      postproc_stage t fg (Post_tx d)
@@ -1343,7 +1341,7 @@ let protocol_hc t (d : Meta.hc_desc) =
           if early then release t d.Meta.h_conn;
           let phases = proto_state_phases t cs in
           let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" ~conn:d.Meta.h_conn in
+          let extra = trace_cycles t "protocol" in
           ignore fg;
           Nfp.Fpc.submit (proto_fpc_for t cs)
             (phases @ [ Compute (c.Config.protocol_hc + extra) ])
@@ -1365,7 +1363,7 @@ let protocol_hc t (d : Meta.hc_desc) =
    paid once per descriptor, plus [gro_merge] per absorbed segment. *)
 let gro_submit t ~merged (s : Meta.rx_summary) =
   let c = t.cfg.Config.costs in
-  let extra = trace_cycles t "gro" ~conn:s.Meta.conn in
+  let extra = trace_cycles t "gro" in
   let cycles =
     c.Config.sequencer + extra + ((merged - 1) * c.Config.gro_merge)
   in
@@ -1472,7 +1470,7 @@ let preproc_rx t gseq (frame : S.frame) =
   let capture_extra =
     match t.capture with Some _ -> c.Config.pcap_capture | None -> 0
   in
-  let extra = trace_cycles t "preproc" ~conn:(-1) in
+  let extra = trace_cycles t "preproc" in
   let span_cycles =
     c.Config.preproc_validate + csum_cycles t frame + capture_extra + extra
     + c.Config.preproc_lookup_hit + c.Config.preproc_summary
@@ -1495,7 +1493,7 @@ let preproc_rx t gseq (frame : S.frame) =
            retransmission (dup-ACK or RTO), exactly as for loss. *)
         t.st_drop_csum <- t.st_drop_csum + 1;
         sa t ~stage:"preproc" ~flow:(-1) Effects.Global_stats Effects.Write;
-        trace_event t "preproc" "seg_invalid" ~conn:(-1);
+        trace_event t "preproc" "seg_invalid";
         sc_count t "preproc/drop_csum";
         sc_seg_end t ~track:"seg_rx" ~id:gseq;
         Sequencer.skip t.rx_gro ~seq:gseq
@@ -1763,7 +1761,7 @@ let dispatch_tx t ~conn:conn_idx =
   if not (pipelined t) then rtc_tx t ~conn:conn_idx
   else begin
     let c = t.cfg.Config.costs in
-    let extra = trace_cycles t "sch" ~conn:conn_idx in
+    let extra = trace_cycles t "sch" in
     Nfp.Fpc.submit t.sch_fpc
       [ Compute (c.Config.scheduler_pick + extra) ]
       (sc_span t ~stage:"sched" ~conn:conn_idx ~id:(-1)
@@ -1772,7 +1770,7 @@ let dispatch_tx t ~conn:conn_idx =
              Effects.Write;
            (* Pre-processing: segment alloc + Ethernet/IP headers. *)
            let fpc = next_preproc t in
-           let pre_extra = trace_cycles t "preproc" ~conn:conn_idx in
+           let pre_extra = trace_cycles t "preproc" in
            Nfp.Fpc.submit fpc
              [ Compute (c.Config.preproc_summary + pre_extra) ]
              (fun () -> protocol_tx t ~conn:conn_idx)))
@@ -1811,7 +1809,7 @@ and atx_drain_body t ctx =
       | Some desc ->
           t.hc_descs_free <- t.hc_descs_free - 1;
           let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-          let extra = trace_cycles t "ctx" ~conn:desc.Meta.h_conn in
+          let extra = trace_cycles t "ctx" in
           Nfp.Fpc.submit fpc
             [ Compute (c.Config.ctx_desc + extra) ]
             (fun () ->
@@ -1955,7 +1953,6 @@ let set_rate t ~conn:conn_idx ~bps =
   Sim.Engine.schedule t.engine t.cfg.Config.params.Nfp.Params.mmio_latency
     (fun () -> Scheduler.set_interval t.sch ~conn:conn_idx ~ps_per_byte)
 
-let wake_tx t ~conn = Scheduler.wakeup t.sch ~conn
 let sched_peak_ready t = Scheduler.peak_ready t.sch
 
 let set_xdp_ingress t h = t.xdp_ingress <- h
@@ -2033,11 +2030,6 @@ let emem_bytes_per_flow t =
   | None -> 0
   | Some pr -> Nfp.Memory.Pressure.bytes_per_flow pr
 
-let emem_resident_flows t =
-  match t.emem_pressure with
-  | None -> 0
-  | Some pr -> Nfp.Memory.Pressure.flows pr
-
 let pinned_evictions t =
   Array.fold_left (fun n c -> n + Nfp.Cam.pinned_evictions c) 0 t.proto_cam
   + Array.fold_left (fun n l -> n + Nfp.Lru.pinned_evictions l) 0 t.emem_lru
@@ -2068,25 +2060,6 @@ let fpc_pools t =
       ("sch", -1, [| t.sch_fpc |]);
       ("gro", -1, [| t.gro_fpc |]);
     ]
-
-(* The LP partition plan for this node, consistent with [fpc_pools]:
-   per-flow-group pools land on their island's LP, service pools
-   (island index -1) on the service LP. The host model is not an FPC
-   pool; partitioners place it on [Graph_ir.Lp_host] themselves. *)
-(* At scale, each shard group gets its own island LP: flow group [fg]
-   lands on island [fg mod shards], so the [shards] replicated
-   pipelines run as distinct FlexPar LPs while service pools stay
-   shared. Unsharded, island = flow group, as before. *)
-let lp_plan t =
-  List.map
-    (fun (name, island, _fpcs) ->
-      ( name,
-        island,
-        if island < 0 then Graph_ir.Lp_service
-        else if t.cfg.Config.scale.Config.s_on then
-          Graph_ir.Lp_island (island mod t.shards)
-        else Graph_ir.Lp_island island ))
-    (fpc_pools t)
 
 let atx_rings t = t.atx
 

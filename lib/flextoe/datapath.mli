@@ -276,10 +276,6 @@ val emem_bytes_per_flow : t -> int
     the EMEM pressure model (the "scale" bench-gate footprint number);
     0 when scale is off. *)
 
-val emem_resident_flows : t -> int
-(** Currently resident flows in the EMEM pressure model; 0 when scale
-    is off. *)
-
 val pinned_evictions : t -> int
 (** Evictions that were forced to take a pinned (Established) flow's
     hot state, summed over the per-group CAMs and per-shard EMEM
@@ -295,13 +291,6 @@ val fpc_pools : t -> (string * int * Nfp.Fpc.t array) list
     service-island pools (dma, ctx, sch, gro) carry [-1]. Drives the
     {!Flexscope} utilization sampler. *)
 
-val lp_plan : t -> (string * int * Graph_ir.lp) list
-(** The LP partition plan for this node, consistent with
-    {!fpc_pools}: [(pool, island, lp)] where per-flow-group pools map
-    to [Graph_ir.Lp_island island] and service pools (island [-1]) to
-    [Graph_ir.Lp_service]. The host model is not an FPC pool;
-    partitioners place it on [Graph_ir.Lp_host] themselves. *)
-
 val atx_rings : t -> Meta.hc_desc Nfp.Ring.t array
 (** The per-context-queue ATX descriptor rings (queue-depth series in
     the profiler). *)
@@ -312,8 +301,3 @@ val cache_stats : t -> (string * int * int) list
     caches, and the EMEM SRAM cache — the levers behind the
     connection-scalability behaviour (Figure 14). *)
 
-(** {1 Internals exposed for the control plane and libTOE} *)
-
-val wake_tx : t -> conn:int -> unit
-(** Nudge the flow scheduler (used by the control plane after
-    installing a connection with pending data). *)

@@ -108,7 +108,7 @@ let entries t = Hashtbl.length t.store
 
 let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
     ~key_bytes ~value_bytes ~set_ratio ?(think_cycles = 200) ~stats () =
-  let rng = Sim.Rng.split (Sim.Engine.Local.rng engine) in
+  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let keyspace = 1024 in
   let key i =
     let b = Bytes.make key_bytes 'k' in

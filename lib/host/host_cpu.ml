@@ -32,7 +32,7 @@ let create engine ?(freq = Sim.Time.Freq.of_ghz 2.0) ~cores () =
             busy = false;
             busy_time = 0;
             accounting = Hashtbl.create 8;
-            rng = Sim.Rng.split (Sim.Engine.Local.rng engine);
+            rng = Sim.Rng.split (Sim.Engine.rng engine);
             noise_interval = 0;
             noise_mean = 0;
           });

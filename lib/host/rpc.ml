@@ -256,7 +256,7 @@ let closed_loop_client ~endpoint ~engine ~server_ip ~server_port ~conns
 let open_loop_client ~endpoint ~engine ~server_ip ~server_port ~conns
     ~rate_per_sec ~req_bytes ~stats () =
   let client = { conns = []; n_connected = 0 } in
-  let rng = Sim.Rng.split (Sim.Engine.Local.rng engine) in
+  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let order = ref [] in
   let next_conn =
     let i = ref 0 in

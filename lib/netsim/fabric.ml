@@ -109,9 +109,7 @@ let partition t ~cluster =
       List.iter
         (fun (dst : port) ->
           if src.home != dst.home then begin
-            let key =
-              (Sim.Engine.Local.id src.home, Sim.Engine.Local.id dst.home)
-            in
+            let key = (Sim.Engine.id src.home, Sim.Engine.id dst.home) in
             if not (Hashtbl.mem t.channels key) then
               Hashtbl.replace t.channels key
                 (Sim.Engine.Cluster.channel cluster ~src:src.home
@@ -212,9 +210,7 @@ let transmit_clean port frame =
           Sim.Engine.schedule_at port.home arrival (fun () ->
               deliver t dst frame)
         else
-          let key =
-            (Sim.Engine.Local.id port.home, Sim.Engine.Local.id dst.home)
-          in
+          let key = (Sim.Engine.id port.home, Sim.Engine.id dst.home) in
           let ch = Hashtbl.find t.channels key in
           Sim.Engine.Cluster.send ch ~at:arrival (fun () ->
               deliver t dst frame)

@@ -2,12 +2,12 @@
 
     CLS ring buffers are the fastest intra-island producer-consumer
     channel; IMEM/EMEM work queues connect modules across islands
-    (§4.1). Both are modelled as bounded FIFOs with registered
-    consumers: pushing wakes an idle consumer, and occupancy
+    (§4.1). Both are modelled as bounded FIFOs whose occupancy
     statistics feed the inter-module-queue tracepoints.
 
     The enqueue/dequeue instruction cost is charged by the stage code
-    (as FPC phases); the ring only sequences and buffers. *)
+    (as FPC phases), and the stage code wakes its own consumers; the
+    ring only sequences and buffers. *)
 
 type 'a t
 
@@ -32,23 +32,6 @@ val pop : 'a t -> 'a option
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 val capacity : 'a t -> int option
-
-val set_notify : 'a t -> (unit -> unit) -> unit
-(** [set_notify t f]: [f] is called after every successful push;
-    consumers use it to schedule themselves. *)
-
-val set_notify_batch : 'a t -> int -> unit
-(** Notify coalescing (§3.4): fire the notify callback on every [n]th
-    successful push instead of every one (clamped to [>= 1]; the
-    default 1 is bit-identical to per-push notification). A producer
-    holding a partial batch must {!flush_notify} it — the ring keeps
-    no timers. *)
-
-val flush_notify : 'a t -> unit
-(** Fire the notify callback now if any pushes have gone unnotified. *)
-
-val pending_notify : 'a t -> int
-(** Pushes since the notify callback last fired. *)
 
 val max_occupancy : 'a t -> int
 (** High-water mark, for queue-occupancy tracing. *)

@@ -11,7 +11,6 @@ type handle = Event_queue.handle
    (lbts) promised by its input channels. *)
 type t = {
   lp_id : int;
-  lp_name : string;
   mutable clock : Time.t;
   queue : (unit -> unit) Event_queue.t;
   lp_rng : Rng.t;
@@ -26,7 +25,6 @@ type t = {
 and channel = {
   ch_id : int;
   ch_src : t;
-  ch_dst : t;
   ch_latency : Time.t;
   ch_mu : Mutex.t;
   (* In-flight messages, newest first; drained by the destination's
@@ -48,7 +46,7 @@ and channel = {
 
 and cluster = {
   cl_seed : int64;
-  mutable cl_domains : int;
+  cl_domains : int;
   mutable cl_lps : t list;  (* reverse creation order *)
   mutable cl_channels : channel list;
   mutable cl_next_lp : int;
@@ -64,10 +62,9 @@ and cluster = {
   mutable cl_poison : exn option;
 }
 
-let mk_lp ~id ~name ~rng ~cluster =
+let mk_lp ~id ~rng ~cluster =
   {
     lp_id = id;
-    lp_name = name;
     clock = Time.zero;
     queue = Event_queue.create ();
     lp_rng = rng;
@@ -80,8 +77,9 @@ let mk_lp ~id ~name ~rng ~cluster =
   }
 
 let create ?(seed = 1L) () =
-  mk_lp ~id:0 ~name:"main" ~rng:(Rng.create seed) ~cluster:None
+  mk_lp ~id:0 ~rng:(Rng.create seed) ~cluster:None
 
+let id t = t.lp_id
 let now t = t.clock
 let rng t = t.lp_rng
 
@@ -148,19 +146,6 @@ let run ?until ?max_events t =
 let events_processed t = t.processed
 let pending t = Event_queue.length t.queue
 
-module Local = struct
-  let id t = t.lp_id
-  let name t = t.lp_name
-  let now = now
-  let rng t = t.lp_rng
-  let schedule_at = schedule_at
-  let schedule = schedule
-  let schedule_cancellable = schedule_cancellable
-  let cancel = cancel
-  let events_processed = events_processed
-  let pending = pending
-end
-
 module Cluster = struct
   type lp = t
   type nonrec channel = channel
@@ -185,21 +170,14 @@ module Cluster = struct
 
   let domains cl = cl.cl_domains
 
-  let set_domains cl n =
-    if n < 1 then invalid_arg "Cluster.set_domains: domains < 1";
-    cl.cl_domains <- n
-
   let not_running cl op =
     if cl.cl_running then
       invalid_arg ("Cluster." ^ op ^ ": cluster is running")
 
-  let add_lp ?name ?seed cl =
+  let add_lp ?seed cl =
     not_running cl "add_lp";
     let id = cl.cl_next_lp in
     cl.cl_next_lp <- id + 1;
-    let name =
-      match name with Some n -> n | None -> "lp" ^ string_of_int id
-    in
     (* An explicit seed gives the exact stream a solo engine created
        with that seed would have — the golden worlds rely on this —
        while the default derives a stream from (cluster seed, LP id)
@@ -209,7 +187,7 @@ module Cluster = struct
       | Some s -> Rng.create s
       | None -> Rng.stream ~seed:cl.cl_seed ~key:id
     in
-    let lp = mk_lp ~id ~name ~rng ~cluster:(Some cl) in
+    let lp = mk_lp ~id ~rng ~cluster:(Some cl) in
     cl.cl_lps <- lp :: cl.cl_lps;
     lp
 
@@ -229,7 +207,6 @@ module Cluster = struct
       {
         ch_id = cl.cl_next_ch;
         ch_src = src;
-        ch_dst = dst;
         ch_latency = min_latency;
         ch_mu = Mutex.create ();
         ch_pending = [];
@@ -246,8 +223,6 @@ module Cluster = struct
     ch
 
   let latency ch = ch.ch_latency
-  let channel_src ch = ch.ch_src
-  let channel_dst ch = ch.ch_dst
 
   let bump_epoch cl =
     Mutex.lock cl.cl_mu;

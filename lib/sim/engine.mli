@@ -19,9 +19,9 @@
     domains, including [domains = 1], which degenerates to the
     sequential loop.
 
-    Stage and actor code should confine itself to the {!Local}
-    surface; partition construction and the run loop belong to the
-    coordinator via {!Cluster}. *)
+    Model code uses the top-level functions, which act only on the
+    calling LP's private state; partition construction and the
+    parallel run loop belong to the coordinator via {!Cluster}. *)
 
 type t
 
@@ -35,15 +35,14 @@ val create : ?seed:int64 -> unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
+val id : t -> int
+(** LP id: 0 for a solo engine, creation order within a cluster. *)
+
 val rng : t -> Rng.t
-[@@ocaml.deprecated
-  "use Engine.Local.rng, this engine's per-LP stream. Direct root-RNG \
-   access predates the parallel engine: draws from a shared root made \
-   streams depend on global draw order, which cannot be reproduced \
-   across domain interleavings. Local.rng returns the same generator \
-   for a solo engine (existing seeds and traces are unaffected); \
-   cluster LPs get a stream derived from (cluster seed, LP id)."]
-(** The engine's root RNG. Deprecated — see the migration note. *)
+(** This LP's deterministic stream. For a solo engine it is the
+    stream of [Rng.create seed]; for a cluster LP it is the stream
+    described at {!Cluster.add_lp}. Actors needing their own streams
+    should {!Rng.split} it at construction time. *)
 
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_at t time k] runs [k] at absolute [time]. Scheduling in
@@ -74,36 +73,6 @@ val events_processed : t -> int
 val pending : t -> int
 (** Number of events currently queued. *)
 
-(** The per-LP scheduling surface — the only part of the engine stage
-    and actor code may touch. Everything here acts on the calling
-    LP's private state and is safe exactly because of that
-    confinement: an LP's wheel, clock and RNG are only ever accessed
-    by the domain currently running that LP. *)
-module Local : sig
-  val id : t -> int
-  (** LP id: 0 for a solo engine, creation order within a cluster. *)
-
-  val name : t -> string
-
-  val now : t -> Time.t
-
-  val rng : t -> Rng.t
-  (** This LP's deterministic stream. For a solo engine this is the
-      root stream seeded at {!create} (so existing worlds reproduce
-      their traces bit-for-bit); for a cluster LP created without an
-      explicit seed it is {!Rng.stream} keyed by (cluster seed,
-      LP id), independent of domain interleaving. Actors needing
-      their own streams should {!Rng.split} it at construction
-      time. *)
-
-  val schedule_at : t -> Time.t -> (unit -> unit) -> unit
-  val schedule : t -> Time.t -> (unit -> unit) -> unit
-  val schedule_cancellable : t -> Time.t -> (unit -> unit) -> handle
-  val cancel : t -> handle -> unit
-  val events_processed : t -> int
-  val pending : t -> int
-end
-
 (** The coordinator surface: partition construction (LPs and the
     channels between them, each with its declared lookahead) and the
     parallel run loop. *)
@@ -127,9 +96,8 @@ module Cluster : sig
       [domains]. *)
 
   val domains : t -> int
-  val set_domains : t -> int -> unit
 
-  val add_lp : ?name:string -> ?seed:int64 -> t -> lp
+  val add_lp : ?seed:int64 -> t -> lp
   (** Add an LP. With an explicit [seed] its stream is exactly the
       stream of a solo engine created with that seed (the golden
       worlds rely on this); by default the stream is {!Rng.stream}
@@ -151,11 +119,9 @@ module Cluster : sig
   (** [send ch ~at k] delivers [k] into the destination LP's wheel at
       absolute time [at]. Must be called from the source LP (i.e.
       from within one of its events, or before the run starts), with
-      [at >= Local.now src + latency ch]. *)
+      [at >= now src + latency ch]. *)
 
   val latency : channel -> Time.t
-  val channel_src : channel -> lp
-  val channel_dst : channel -> lp
 
   val channel_sent : channel -> int
   val channel_delivered : channel -> int

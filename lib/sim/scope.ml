@@ -441,118 +441,3 @@ let dropped_events t = t.dropped_events
 
 let histograms t =
   List.rev_map (fun n -> (n, Hashtbl.find t.hists n)) t.hist_order
-
-(* --- Domain-safe shards ------------------------------------------------ *)
-
-(* Aliases for use inside [Shard], where [record]/[count] are
-   shadowed by the shard-local recorders. *)
-let record_scope = record
-let count_scope = count
-
-module Shard = struct
-  type scope = t
-
-  (* One buffered recorder operation. Timestamps are explicit: a
-     shard belongs to one LP and must not read the merge target's
-     engine clock from another domain. *)
-  type op =
-    | Op_record of string * int
-    | Op_count of string * int
-    | Op_sample of string * float
-    | Op_instant of { track : string; name : string; conn : int; arg : int }
-
-  type entry = { e_ts : Time.t; e_gseq : int; e_op : op }
-
-  type t = {
-    sh_id : int;
-    sh_capacity : int;
-    mutable sh_buf : entry list;  (* newest first *)
-    mutable sh_len : int;
-    mutable sh_gseq : int;
-    mutable sh_dropped : int;
-  }
-
-  let create ?(capacity = 65_536) ~id () =
-    {
-      sh_id = id;
-      sh_capacity = capacity;
-      sh_buf = [];
-      sh_len = 0;
-      sh_gseq = 0;
-      sh_dropped = 0;
-    }
-
-  let id sh = sh.sh_id
-  let pending sh = sh.sh_len
-  let dropped sh = sh.sh_dropped
-
-  let push sh ~now op =
-    if sh.sh_len < sh.sh_capacity then begin
-      sh.sh_buf <- { e_ts = now; e_gseq = sh.sh_gseq; e_op = op } :: sh.sh_buf;
-      sh.sh_gseq <- sh.sh_gseq + 1;
-      sh.sh_len <- sh.sh_len + 1
-    end
-    else sh.sh_dropped <- sh.sh_dropped + 1
-
-  let record sh ~now name v = push sh ~now (Op_record (name, v))
-  let count sh ~now ~name ?(n = 1) () = push sh ~now (Op_count (name, n))
-  let sample sh ~now ~series ~value = push sh ~now (Op_sample (series, value))
-
-  let instant sh ~now ~track ~name ~conn ~arg =
-    push sh ~now (Op_instant { track; name; conn; arg })
-
-  let apply scope e =
-    match e.e_op with
-    | Op_record (name, v) -> record_scope scope name v
-    | Op_count (name, n) -> count_scope scope ~name ~n ()
-    | Op_sample (series, value) ->
-        (match Hashtbl.find_opt scope.series series with
-        | Some s ->
-            s.s_last <- value;
-            if value < s.s_min then s.s_min <- value;
-            if value > s.s_max then s.s_max <- value;
-            s.s_sum <- s.s_sum +. value;
-            s.s_n <- s.s_n + 1
-        | None ->
-            Hashtbl.replace scope.series series
-              { s_last = value; s_min = value; s_max = value; s_sum = value;
-                s_n = 1 });
-        if scope.mode = Full then
-          push_event scope (Ev_counter { series; ts = e.e_ts; value })
-    | Op_instant { track; name; conn; arg } ->
-        flight_push scope ~conn
-          { fl_time = e.e_ts; fl_kind = "instant"; fl_name = name;
-            fl_arg = arg };
-        if scope.mode = Full then
-          push_event scope (Ev_instant { track; name; ts = e.e_ts; conn; arg })
-
-  (* Merge at a sync point: apply every shard's buffered operations
-     to [scope] in (timestamp, gseq, shard id) order — an order fixed
-     by the LPs' deterministic executions, not by how the domains
-     interleaved. Each shard's gseq is monotone, so entries of one
-     shard keep their program order; across shards at equal
-     timestamps the (gseq, shard) rank is reproducible because per-LP
-     event counts at any virtual time are. *)
-  let merge scope shards =
-    let entries =
-      List.concat_map
-        (fun sh ->
-          let es = List.rev_map (fun e -> (sh.sh_id, e)) sh.sh_buf in
-          sh.sh_buf <- [];
-          sh.sh_len <- 0;
-          es)
-        shards
-    in
-    let entries =
-      List.stable_sort
-        (fun (id1, e1) (id2, e2) ->
-          match compare e1.e_ts e2.e_ts with
-          | 0 -> (
-              match compare e1.e_gseq e2.e_gseq with
-              | 0 -> compare id1 id2
-              | c -> c)
-          | c -> c)
-        entries
-    in
-    List.iter (fun (_, e) -> apply scope e) entries
-end

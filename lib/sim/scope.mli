@@ -6,7 +6,12 @@
     This module is deliberately generic (it knows nothing about the
     FlexTOE pipeline); [Flextoe.Flexscope] wires it to the datapath.
     The datapath holds a [Scope.t option] and every hook costs one
-    branch when profiling is disabled. *)
+    branch when profiling is disabled.
+
+    A recorder belongs to one LP: it reads the clock of the
+    {!Engine.t} it was created on, and only that LP's events may
+    record into it. In a cluster, each LP's node gets its own
+    recorder. *)
 
 type mode =
   | Metrics_only
@@ -111,56 +116,3 @@ val dropped_events : t -> int
 
 val histograms : t -> (string * Stats.Histogram.t) list
 (** Name/histogram pairs in creation order. *)
-
-(** {1 Domain-safe shards}
-
-    A parallel run must not funnel every LP's instrumentation through
-    one shared recorder — the [t] above is single-domain state. A
-    {!Shard.t} is a per-domain bounded buffer of recorder operations
-    (histogram adds, counter bumps, series samples, instants), each
-    stamped with the recording LP's virtual time and a per-shard
-    monotone sequence number (gseq). At a sync point — between
-    {!Engine.Cluster.run} phases, or at the end of a run — the
-    coordinator calls {!Shard.merge}, which applies all buffered
-    operations to a target recorder in (timestamp, gseq, shard id)
-    order. That order is fixed by the LPs' deterministic executions,
-    not by domain interleaving, so merged metrics are bit-identical
-    at any domain count. *)
-
-module Shard : sig
-  type scope = t
-
-  type t
-  (** A per-domain bounded operation buffer. Only the owning LP's
-      domain may record into it; only the coordinator (with all
-      workers stopped) may merge it. *)
-
-  val create : ?capacity:int -> id:int -> unit -> t
-  (** [capacity] (default 65536) bounds buffered operations; excess
-      operations are counted in {!dropped}, never silently lost. *)
-
-  val id : t -> int
-
-  val record : t -> now:Time.t -> string -> int -> unit
-  (** Buffered {!val-record}. [now] is the owning LP's clock — shards
-      never read the merge target's engine. *)
-
-  val count : t -> now:Time.t -> name:string -> ?n:int -> unit -> unit
-  val sample : t -> now:Time.t -> series:string -> value:float -> unit
-
-  val instant :
-    t -> now:Time.t -> track:string -> name:string -> conn:int -> arg:int ->
-    unit
-
-  val pending : t -> int
-  (** Operations currently buffered. *)
-
-  val dropped : t -> int
-  (** Operations discarded because the buffer was full. *)
-
-  val merge : scope -> t list -> unit
-  (** Apply every shard's buffered operations to the target recorder
-      in (timestamp, gseq, shard id) order, emptying the shards.
-      Dropped-operation counts are per-shard and survive the
-      merge. *)
-end

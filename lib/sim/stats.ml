@@ -1,13 +1,3 @@
-module Counter = struct
-  type t = { mutable v : int }
-
-  let create () = { v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let get t = t.v
-  let reset t = t.v <- 0
-end
-
 module Histogram = struct
   (* Log-bucketed: bucket index = (octave * sub_count + sub), where
      octave = position of the highest set bit above [sub_bits], and
@@ -126,31 +116,6 @@ module Histogram = struct
     t.total <- 0.;
     t.min_v <- max_int;
     t.max_v <- 0
-end
-
-module Meter = struct
-  type t = { mutable bytes : int; mutable ops : int }
-
-  let create () = { bytes = 0; ops = 0 }
-
-  let record t ?(bytes = 0) ?(ops = 0) () =
-    t.bytes <- t.bytes + bytes;
-    t.ops <- t.ops + ops
-
-  let bytes t = t.bytes
-  let ops t = t.ops
-
-  let gbps t ~duration =
-    if duration <= 0 then 0.
-    else float_of_int (8 * t.bytes) /. Time.to_sec duration /. 1e9
-
-  let mops t ~duration =
-    if duration <= 0 then 0.
-    else float_of_int t.ops /. Time.to_sec duration /. 1e6
-
-  let reset t =
-    t.bytes <- 0;
-    t.ops <- 0
 end
 
 let jain_fairness xs =

@@ -1,17 +1,7 @@
 (** Measurement utilities for experiments.
 
-    Counters, log-bucketed latency histograms with percentile queries
-    (HdrHistogram-style), throughput meters, and fairness metrics. *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
+    Log-bucketed latency histograms with percentile queries
+    (HdrHistogram-style) and fairness metrics. *)
 
 module Histogram : sig
   type t
@@ -52,25 +42,6 @@ module Histogram : sig
 
   val merge : t -> t -> unit
   (** [merge dst src] adds all of [src]'s samples into [dst]. *)
-
-  val reset : t -> unit
-end
-
-module Meter : sig
-  type t
-  (** Accumulates (bytes, operations) over a window of virtual time to
-      report throughput. *)
-
-  val create : unit -> t
-  val record : t -> ?bytes:int -> ?ops:int -> unit -> unit
-  val bytes : t -> int
-  val ops : t -> int
-
-  val gbps : t -> duration:Time.t -> float
-  (** Bits per second / 1e9 over [duration]. *)
-
-  val mops : t -> duration:Time.t -> float
-  (** Million operations per second over [duration]. *)
 
   val reset : t -> unit
 end

@@ -143,7 +143,7 @@ let kv_seed = 43L
    counters). Deterministic: all randomness from the engine seed. *)
 let kv_client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
     ~streams () =
-  let rng = Sim.Rng.split (Sim.Engine.Local.rng engine) in
+  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let key i =
     let s = string_of_int (i mod 512) in
     let b = Bytes.make 16 'k' in

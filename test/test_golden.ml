@@ -191,7 +191,7 @@ let kv_fixed_reqs = 100
 let kv_fixed_client ~endpoint ~engine ~server_ip ~server_port ~conns
     ~pipeline ~reqs ~streams ~done_count () =
   let rngs =
-    Array.init conns (fun _ -> Sim.Rng.split (Sim.Engine.Local.rng engine))
+    Array.init conns (fun _ -> Sim.Rng.split (Sim.Engine.rng engine))
   in
   for i = 0 to conns - 1 do
     let rng = rngs.(i) in

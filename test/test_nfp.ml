@@ -216,14 +216,6 @@ let test_ring_capacity_and_drops () =
   check_bool "room again" true (Nfp.Ring.push r 4);
   check_int "max occupancy" 2 (Nfp.Ring.max_occupancy r)
 
-let test_ring_notify () =
-  let r = Nfp.Ring.create ~name:"r" () in
-  let notified = ref 0 in
-  Nfp.Ring.set_notify r (fun () -> incr notified);
-  ignore (Nfp.Ring.push r ());
-  ignore (Nfp.Ring.push r ());
-  check_int "notified per push" 2 !notified
-
 (* --- Lookup engine ----------------------------------------------------------------- *)
 
 let test_lookup_collisions () =
@@ -278,7 +270,6 @@ let suite =
       test_dma_queues_independent_windows;
     Alcotest.test_case "ring capacity and drops" `Quick
       test_ring_capacity_and_drops;
-    Alcotest.test_case "ring notify" `Quick test_ring_notify;
     Alcotest.test_case "lookup collision chains" `Quick
       test_lookup_collisions;
     Alcotest.test_case "lookup re-add" `Quick test_lookup_readd;

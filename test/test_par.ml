@@ -14,8 +14,9 @@
    - The partitioned fabric delivers a byte- and time-identical trace
      at every domain count, equal to the classic single-engine fabric.
 
-   - Scope/Trace shard merges are independent of cross-shard
-     interleaving. *)
+   - Per-LP observation: every golden world's node owns its own Scope
+     recorder and tracepoint registry, so the metrics digest is the
+     same at every domain count. *)
 
 module Cl = Sim.Engine.Cluster
 module W = Golden_worlds
@@ -37,8 +38,8 @@ let domain_counts = [ 1; 2; 4; 8 ]
 let run_worlds ~domains ~batch ?(scope = false) ?(san = false) ?(scale = 0)
     () =
   let cl = Cl.create ~seed:7L ~domains () in
-  let echo_lp = Cl.add_lp ~name:"echo" ~seed:W.echo_seed cl in
-  let kv_lp = Cl.add_lp ~name:"kv" ~seed:W.kv_seed cl in
+  let echo_lp = Cl.add_lp ~seed:W.echo_seed cl in
+  let kv_lp = Cl.add_lp ~seed:W.kv_seed cl in
   let fin_echo = W.setup_echo ~batch ~scope ~san ~scale ~engine:echo_lp () in
   let fin_kv = W.setup_kv ~batch ~scope ~san ~scale ~engine:kv_lp () in
   Cl.run ~until:(Sim.Time.ms 10) cl;
@@ -135,8 +136,8 @@ let test_phased_run_continues () =
   (* Cluster.run is re-runnable with a larger [until]: warmup /
      measurement phasing must not perturb the digests. *)
   let cl = Cl.create ~seed:7L ~domains:2 () in
-  let echo_lp = Cl.add_lp ~name:"echo" ~seed:W.echo_seed cl in
-  let kv_lp = Cl.add_lp ~name:"kv" ~seed:W.kv_seed cl in
+  let echo_lp = Cl.add_lp ~seed:W.echo_seed cl in
+  let kv_lp = Cl.add_lp ~seed:W.kv_seed cl in
   let fin_echo = W.setup_echo ~engine:echo_lp () in
   let fin_kv = W.setup_kv ~engine:kv_lp () in
   Cl.run ~until:(Sim.Time.ms 5) cl;
@@ -155,8 +156,8 @@ let expect_invalid name f =
 
 let test_channel_validation () =
   let cl = Cl.create () in
-  let a = Cl.add_lp ~name:"a" cl in
-  let b = Cl.add_lp ~name:"b" cl in
+  let a = Cl.add_lp cl in
+  let b = Cl.add_lp cl in
   expect_invalid "zero lookahead" (fun () ->
       Cl.channel cl ~src:a ~dst:b ~min_latency:Sim.Time.zero);
   expect_invalid "negative lookahead" (fun () ->
@@ -179,8 +180,8 @@ let test_merge_order_deterministic () =
      before local events, channels in id order, FIFO within a
      channel — the total order the determinism argument rests on. *)
   let cl = Cl.create () in
-  let a = Cl.add_lp ~name:"a" cl in
-  let b = Cl.add_lp ~name:"b" cl in
+  let a = Cl.add_lp cl in
+  let b = Cl.add_lp cl in
   let ch0 = Cl.channel cl ~src:a ~dst:b ~min_latency:(Sim.Time.ns 100) in
   let ch1 = Cl.channel cl ~src:a ~dst:b ~min_latency:(Sim.Time.ns 100) in
   let log = ref [] in
@@ -210,8 +211,8 @@ let test_merge_order_deterministic () =
    exactly once, in timestamp order. *)
 let test_slack_property () =
   let cl = Cl.create () in
-  let a = Cl.add_lp ~name:"a" cl in
-  let b = Cl.add_lp ~name:"b" cl in
+  let a = Cl.add_lp cl in
+  let b = Cl.add_lp cl in
   let la = Sim.Time.ns 250 in
   let ch = Cl.channel cl ~src:a ~dst:b ~min_latency:la in
   let rng = Sim.Rng.create 99L in
@@ -225,12 +226,12 @@ let test_slack_property () =
       incr sent;
       let extra = Sim.Rng.int rng 500 in
       Cl.send ch
-        ~at:(Sim.Engine.Local.now a + la + extra)
-        (fun () -> arrivals := Sim.Engine.Local.now b :: !arrivals);
-      Sim.Engine.Local.schedule a (1 + Sim.Rng.int rng 300) sender
+        ~at:(Sim.Engine.now a + la + extra)
+        (fun () -> arrivals := Sim.Engine.now b :: !arrivals);
+      Sim.Engine.schedule a (1 + Sim.Rng.int rng 300) sender
     end
   in
-  Sim.Engine.Local.schedule a 0 sender;
+  Sim.Engine.schedule a 0 sender;
   Cl.run ~until:(Sim.Time.ms 1) cl;
   check_int "all messages delivered" n (List.length !arrivals);
   check_int "sent counter" n (Cl.channel_sent ch);
@@ -249,8 +250,8 @@ let test_slack_property () =
    be identical at every domain count. *)
 let pingpong ~domains =
   let cl = Cl.create ~seed:11L ~domains () in
-  let a = Cl.add_lp ~name:"a" cl in
-  let b = Cl.add_lp ~name:"b" cl in
+  let a = Cl.add_lp cl in
+  let b = Cl.add_lp cl in
   let ab = Cl.channel cl ~src:a ~dst:b ~min_latency:(Sim.Time.ns 100) in
   let ba = Cl.channel cl ~src:b ~dst:a ~min_latency:(Sim.Time.ns 150) in
   let log_a = Buffer.create 1024 and log_b = Buffer.create 1024 in
@@ -273,10 +274,10 @@ let pingpong ~domains =
   let rec tick lp buf () =
     Buffer.add_string buf (Printf.sprintf "tick@%d\n" (Sim.Engine.now lp));
     if Sim.Engine.now lp < Sim.Time.us 40 then
-      Sim.Engine.Local.schedule lp (Sim.Time.ns 125) (tick lp buf)
+      Sim.Engine.schedule lp (Sim.Time.ns 125) (tick lp buf)
   in
-  Sim.Engine.Local.schedule a 0 (tick a log_a);
-  Sim.Engine.Local.schedule b 0 (tick b log_b);
+  Sim.Engine.schedule a 0 (tick a log_a);
+  Sim.Engine.schedule b 0 (tick b log_b);
   Cl.run ~until:(Sim.Time.us 100) cl;
   ( md5 (Buffer.contents log_a ^ Buffer.contents log_b),
     Cl.events_processed cl,
@@ -356,8 +357,8 @@ let classic_engines () =
 
 let cluster_engines ~domains () =
   let cl = Cl.create ~seed:5L ~domains () in
-  let ea = Cl.add_lp ~name:"a" cl in
-  let eb = Cl.add_lp ~name:"b" cl in
+  let ea = Cl.add_lp cl in
+  let eb = Cl.add_lp cl in
   ( ea,
     eb,
     (fun () -> Cl.run ~until:(Sim.Time.ms 1) cl),
@@ -400,66 +401,6 @@ let test_fabric_partition_freezes_ports () =
   expect_invalid "partition twice" (fun () ->
       Netsim.Fabric.partition fab ~cluster:cl)
 
-(* --- Scope / Trace shard merges ---------------------------------------- *)
-
-let test_scope_shard_merge_deterministic () =
-  let digest_of fill =
-    let e = Sim.Engine.create () in
-    let sc = Sim.Scope.create ~mode:Sim.Scope.Metrics_only e in
-    let s0 = Sim.Scope.Shard.create ~id:0 () in
-    let s1 = Sim.Scope.Shard.create ~id:1 () in
-    fill s0 s1;
-    Sim.Scope.Shard.merge sc [ s0; s1 ];
-    check_int "shard 0 drained" 0 (Sim.Scope.Shard.pending s0);
-    md5 (Sim.Json.to_string (Sim.Scope.metrics sc))
-  in
-  let module S = Sim.Scope.Shard in
-  (* Same per-shard operation sequences, opposite cross-shard
-     interleavings: the merge must not care. *)
-  let d1 =
-    digest_of (fun s0 s1 ->
-        S.record s0 ~now:(Sim.Time.ns 10) "h" 5;
-        S.count s1 ~now:(Sim.Time.ns 10) ~name:"c" ();
-        S.record s0 ~now:(Sim.Time.ns 20) "h" 7;
-        S.sample s1 ~now:(Sim.Time.ns 30) ~series:"s" ~value:1.5)
-  in
-  let d2 =
-    digest_of (fun s0 s1 ->
-        S.count s1 ~now:(Sim.Time.ns 10) ~name:"c" ();
-        S.sample s1 ~now:(Sim.Time.ns 30) ~series:"s" ~value:1.5;
-        S.record s0 ~now:(Sim.Time.ns 10) "h" 5;
-        S.record s0 ~now:(Sim.Time.ns 20) "h" 7)
-  in
-  check_str "merge independent of cross-shard interleaving" d1 d2;
-  (* Bounded: overflow is counted, never silently lost. *)
-  let s = S.create ~capacity:2 ~id:3 () in
-  S.record s ~now:Sim.Time.zero "h" 1;
-  S.record s ~now:Sim.Time.zero "h" 2;
-  S.record s ~now:Sim.Time.zero "h" 3;
-  check_int "capacity respected" 2 (S.pending s);
-  check_int "overflow counted" 1 (S.dropped s)
-
-let test_trace_shard_merge_deterministic () =
-  let t = Sim.Trace.create () in
-  let p = Sim.Trace.register t ~group:"g" "p" in
-  ignore (Sim.Trace.enable t ());
-  let seen = ref [] in
-  ignore (Sim.Trace.subscribe t (fun ev -> seen := ev.Sim.Trace.arg :: !seen));
-  let s0 = Sim.Trace.shard t ~id:0 () in
-  let s1 = Sim.Trace.shard t ~id:1 () in
-  (* Arrival order adversarial to the merged order: the sync must
-     deliver by (time, then shard-local sequence, then shard id). *)
-  Sim.Trace.shard_hit s1 p ~now:(Sim.Time.ns 20) ~conn:1 ~arg:1;
-  Sim.Trace.shard_hit s0 p ~now:(Sim.Time.ns 10) ~conn:0 ~arg:2;
-  Sim.Trace.shard_hit s0 p ~now:(Sim.Time.ns 20) ~conn:0 ~arg:3;
-  check_int "buffered, not delivered" 0 (Sim.Trace.hits p);
-  Sim.Trace.sync t;
-  check_int "hit counters bumped at sync" 3 (Sim.Trace.hits p);
-  Alcotest.(check (list int))
-    "delivery order (time, gseq, shard)" [ 2; 1; 3 ] (List.rev !seen);
-  check_int "shards drained" 0
-    (Sim.Trace.shard_pending s0 + Sim.Trace.shard_pending s1)
-
 let suite =
   [
     Alcotest.test_case "golden worlds bit-identical at domains=1,2,4,8"
@@ -485,8 +426,4 @@ let suite =
       test_partitioned_fabric_matches_classic;
     Alcotest.test_case "fabric partition freezes ports" `Quick
       test_fabric_partition_freezes_ports;
-    Alcotest.test_case "scope shard merge deterministic" `Quick
-      test_scope_shard_merge_deterministic;
-    Alcotest.test_case "trace shard merge deterministic" `Quick
-      test_trace_shard_merge_deterministic;
   ]

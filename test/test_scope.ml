@@ -341,9 +341,16 @@ let test_metrics_snapshot_shape () =
 let test_disabled_has_no_scope () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
-  let n = Flextoe.create_node engine ~fabric ~ip:ip_a () in
-  check_bool "no scope by default" true (Flextoe.scope n = None);
-  check_bool "no sampler by default" true (Flextoe.flexscope n = None)
+  (* Explicitly off: [Config.default] follows FLEXSCOPE. *)
+  let config =
+    {
+      Flextoe.Config.default with
+      Flextoe.Config.scope = Flextoe.Config.Scope_off;
+    }
+  in
+  let n = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
+  check_bool "no scope when off" true (Flextoe.scope n = None);
+  check_bool "no sampler when off" true (Flextoe.flexscope n = None)
 
 let suite =
   [

@@ -313,6 +313,30 @@ let test_engine_past_raises () =
           Sim.Engine.schedule_at e 50 ignore));
   Sim.Engine.run e
 
+(* [Engine.rng] is the LP's own stream: a solo engine and a cluster LP
+   created with a seed draw exactly [Rng.create seed]; a cluster LP
+   without one draws [Rng.stream ~seed:cluster_seed ~key:id]. *)
+let test_engine_rng_stream () =
+  let draws r = List.init 16 (fun _ -> Sim.Rng.next64 r) in
+  let same name expected got =
+    Alcotest.(check (list int64)) name (draws expected) (draws got)
+  in
+  let solo = Sim.Engine.create ~seed:42L () in
+  check_int "solo id" 0 (Sim.Engine.id solo);
+  check_bool "one generator per LP" true
+    (Sim.Engine.rng solo == Sim.Engine.rng solo);
+  same "solo engine" (Sim.Rng.create 42L) (Sim.Engine.rng solo);
+  let module Cl = Sim.Engine.Cluster in
+  let cl = Cl.create ~seed:7L () in
+  let _first = Cl.add_lp cl in
+  let seeded = Cl.add_lp ~seed:42L cl in
+  let derived = Cl.add_lp cl in
+  check_int "LP id is creation order" 2 (Sim.Engine.id derived);
+  same "cluster LP with a seed" (Sim.Rng.create 42L) (Sim.Engine.rng seeded);
+  same "cluster LP without a seed"
+    (Sim.Rng.stream ~seed:7L ~key:2)
+    (Sim.Engine.rng derived)
+
 (* --- RNG ---------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -393,14 +417,6 @@ let test_jain () =
     (Sim.Stats.jain_fairness [| 4.; 0.; 0.; 0. |]);
   Alcotest.(check (float 1e-9)) "empty" 1.0 (Sim.Stats.jain_fairness [||])
 
-let test_meter () =
-  let m = Sim.Stats.Meter.create () in
-  Sim.Stats.Meter.record m ~bytes:1_000_000 ~ops:10 ();
-  Alcotest.(check (float 0.001)) "gbps" 8.0
-    (Sim.Stats.Meter.gbps m ~duration:(Sim.Time.ms 1));
-  Alcotest.(check (float 0.001)) "mops" 0.01
-    (Sim.Stats.Meter.mops m ~duration:(Sim.Time.ms 1))
-
 (* --- Trace -------------------------------------------------------------------- *)
 
 let test_trace_registry () =
@@ -409,72 +425,12 @@ let test_trace_registry () =
   let _p2 = Sim.Trace.register t ~group:"proto" "tx" in
   let _p3 = Sim.Trace.register t ~group:"dma" "desc" in
   check_int "enable group" 2 (Sim.Trace.enable t ~group:"proto" ());
-  Sim.Trace.hit t p1 ~now:0 ~conn:1 ~arg:0;
-  Sim.Trace.hit t p1 ~now:1 ~conn:1 ~arg:0;
+  Sim.Trace.hit p1;
+  Sim.Trace.hit p1;
   check_int "hits recorded" 2 (Sim.Trace.hits p1);
   check_int "enable all" 3 (Sim.Trace.enable t ());
   check_int "disable one" 2 (Sim.Trace.disable t ~group:"dma" ~name:"desc" ());
-  let events = ref 0 in
-  let sub = Sim.Trace.subscribe t (fun _ -> incr events) in
-  Sim.Trace.hit t p1 ~now:2 ~conn:1 ~arg:7;
-  check_int "subscriber called" 1 !events;
-  Sim.Trace.unsubscribe t sub;
   check_int "registered" 3 (List.length (Sim.Trace.points t))
-
-let test_trace_subscribe_ordering () =
-  let t = Sim.Trace.create () in
-  let p = Sim.Trace.register t ~group:"proto" "rx" in
-  ignore (Sim.Trace.enable t ());
-  let log = ref [] in
-  let s1 = Sim.Trace.subscribe t (fun _ -> log := 1 :: !log) in
-  let s2 = Sim.Trace.subscribe t (fun _ -> log := 2 :: !log) in
-  Sim.Trace.hit t p ~now:0 ~conn:1 ~arg:0;
-  Alcotest.(check (list int)) "oldest first" [ 1; 2 ] (List.rev !log);
-  (* Unsubscribing the first leaves the second; double-unsubscribe is
-     a no-op. *)
-  Sim.Trace.unsubscribe t s1;
-  Sim.Trace.unsubscribe t s1;
-  check_int "one left" 1 (Sim.Trace.subscriber_count t);
-  log := [];
-  Sim.Trace.hit t p ~now:1 ~conn:1 ~arg:0;
-  Alcotest.(check (list int)) "only s2" [ 2 ] !log;
-  (* Re-registration after unsubscribe appends at the tail. *)
-  let _s3 = Sim.Trace.subscribe t (fun _ -> log := 3 :: !log) in
-  log := [];
-  Sim.Trace.hit t p ~now:2 ~conn:1 ~arg:0;
-  Alcotest.(check (list int)) "s2 then s3" [ 2; 3 ] (List.rev !log);
-  Sim.Trace.unsubscribe t s2
-
-let test_trace_subscribe_group_filter () =
-  let t = Sim.Trace.create () in
-  let p_proto = Sim.Trace.register t ~group:"proto" "rx" in
-  let p_dma = Sim.Trace.register t ~group:"dma" "desc" in
-  ignore (Sim.Trace.enable t ());
-  let proto_events = ref 0 and all_events = ref 0 in
-  let _sp =
-    Sim.Trace.subscribe t ~group:"proto" (fun _ -> incr proto_events)
-  in
-  let _sa = Sim.Trace.subscribe t (fun _ -> incr all_events) in
-  Sim.Trace.hit t p_proto ~now:0 ~conn:1 ~arg:0;
-  Sim.Trace.hit t p_dma ~now:1 ~conn:1 ~arg:0;
-  check_int "group-filtered" 1 !proto_events;
-  check_int "unfiltered" 2 !all_events
-
-let test_trace_set_sink_shim () =
-  let t = Sim.Trace.create () in
-  let p = Sim.Trace.register t ~group:"proto" "rx" in
-  ignore (Sim.Trace.enable t ());
-  let a = ref 0 and b = ref 0 and sub_hits = ref 0 in
-  let _s = Sim.Trace.subscribe t (fun _ -> incr sub_hits) in
-  (Sim.Trace.set_sink t (fun _ -> incr a) [@alert "-deprecated"]);
-  Sim.Trace.hit t p ~now:0 ~conn:1 ~arg:0;
-  (* A second set_sink replaces the first's subscription but leaves
-     independent subscribers alone. *)
-  (Sim.Trace.set_sink t (fun _ -> incr b) [@alert "-deprecated"]);
-  Sim.Trace.hit t p ~now:1 ~conn:1 ~arg:0;
-  check_int "first sink saw one event" 1 !a;
-  check_int "second sink saw one event" 1 !b;
-  check_int "plain subscriber saw both" 2 !sub_hits
 
 (* --- Histogram _opt / empty behaviour ----------------------------------- *)
 
@@ -540,6 +496,8 @@ let suite =
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine rejects the past" `Quick
       test_engine_past_raises;
+    Alcotest.test_case "engine rng is the LP's stream" `Quick
+      test_engine_rng_stream;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng bernoulli rate" `Quick test_rng_bool_rate;
@@ -553,11 +511,5 @@ let suite =
     Alcotest.test_case "histogram merge after reset" `Quick
       test_histogram_merge_after_reset;
     Alcotest.test_case "jain fairness index" `Quick test_jain;
-    Alcotest.test_case "throughput meter" `Quick test_meter;
     Alcotest.test_case "tracepoint registry" `Quick test_trace_registry;
-    Alcotest.test_case "trace subscribe ordering" `Quick
-      test_trace_subscribe_ordering;
-    Alcotest.test_case "trace subscription group filter" `Quick
-      test_trace_subscribe_group_filter;
-    Alcotest.test_case "trace set_sink shim" `Quick test_trace_set_sink_shim;
   ]
