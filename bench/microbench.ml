@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the hot data structures underneath the
    experiments: wire codec + checksums, reassembly, the sequencer, the
-   eBPF VM, the event queue, and the end-to-end simulator itself.
+   eBPF VM, the event queue, message framing, and the end-to-end
+   simulator itself.
    These quantify the cost of the simulation substrate, not FlexTOE's
    modelled performance. *)
 
@@ -84,6 +85,49 @@ let event_queue_case depth =
            ignore (Sim.Event_queue.pop_min q)
          done))
 
+(* The zero-delay pattern of a running simulation: pop the earliest of
+   2,048 pending events, schedule four successors at its own instant
+   (each [Nfp.Fpc.submit] starts its work this way) and run them, then
+   put the popped event back in the future so the depth stays
+   constant. *)
+let test_event_queue_same_instant =
+  let depth = 2048 in
+  let q = Sim.Event_queue.create () in
+  for i = 0 to depth - 1 do
+    Sim.Event_queue.push q i i
+  done;
+  Test.make ~name:"sim/event-queue-same-instant"
+    (Staged.stage (fun () ->
+         let t = Sim.Event_queue.min_time q in
+         let v = Sim.Event_queue.pop_min q in
+         for k = 1 to 4 do
+           Sim.Event_queue.push q t k
+         done;
+         for _ = 1 to 4 do
+           ignore (Sim.Event_queue.min_time q);
+           ignore (Sim.Event_queue.pop_min q)
+         done;
+         Sim.Event_queue.push q (t + depth) v))
+
+(* One 64 KiB request arriving as 1,448 B segments, decoded by a
+   long-lived decoder the way a server socket's reader does. *)
+let test_framing_64k =
+  let wire = Host.Framing.encode (Bytes.make 65536 'r') in
+  let n = Bytes.length wire in
+  let chunks =
+    List.init ((n + 1447) / 1448) (fun i ->
+        Bytes.sub wire (i * 1448) (min 1448 (n - (i * 1448))))
+  in
+  let d = Host.Framing.create () in
+  Test.make ~name:"host/framing-64KiB"
+    (Staged.stage (fun () ->
+         List.iter
+           (fun c ->
+             Host.Framing.push d c;
+             Host.Framing.iter_available d (fun m ->
+                 ignore (Sys.opaque_identity m)))
+           chunks))
+
 let test_end_to_end_rpc =
   Test.make ~name:"sim/flextoe-1ms-echo" (Staged.stage (fun () ->
       let engine = Sim.Engine.create () in
@@ -109,6 +153,8 @@ let benchmarks =
     test_ebpf_splice;
     event_queue_case 256;
     event_queue_case 2048;
+    test_event_queue_same_instant;
+    test_framing_64k;
     test_end_to_end_rpc;
   ]
 

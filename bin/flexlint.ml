@@ -478,12 +478,14 @@ let run_fuzz_wire cases seed =
   if Tcp.Fuzz.ok s then
     Format.printf
       "OK   fuzz-wire            %d cases: %d accepted, %d rejected (%d by \
-       checksum), 0 raised@."
+       checksum), 0 raised, 0 checksum mismatches@."
       s.Tcp.Fuzz.total s.Tcp.Fuzz.accepted s.Tcp.Fuzz.rejected
       s.Tcp.Fuzz.csum_caught
   else begin
-    Format.printf "FAIL fuzz-wire            %d of %d case(s) raised@."
-      s.Tcp.Fuzz.raised s.Tcp.Fuzz.total;
+    Format.printf
+      "FAIL fuzz-wire            %d of %d case(s) raised, %d checksum \
+       mismatch(es)@."
+      s.Tcp.Fuzz.raised s.Tcp.Fuzz.total s.Tcp.Fuzz.csum_mismatched;
     exit 1
   end
 
@@ -503,7 +505,9 @@ let fuzz_wire_cmd =
     (Cmd.info "fuzz-wire" ~version
        ~doc:
          "Feed a seeded corpus of truncated/bit-flipped/garbage frames to \
-          the wire decoder and checksum helpers; any raised exception fails"
+          the wire decoder and checksum helpers; any raised exception, or \
+          an Internet checksum that differs from the byte-wise reference, \
+          fails"
        ~exits:exit_info
        ~man:
          [
@@ -511,7 +515,9 @@ let fuzz_wire_cmd =
            `P
              "Feeds a seeded corpus of truncated, bit-flipped and garbage \
               frames to the wire decoder and checksum helpers. Decoders may \
-              reject; they may never raise. A fixed $(b,--seed) gives a \
+              reject; they may never raise. On each mutated frame the \
+              Internet checksum over a random in-bounds range must equal a \
+              byte-at-a-time reference. A fixed $(b,--seed) gives a \
               reproducible corpus.";
          ])
     Term.(const run_fuzz_wire $ fuzz_cases_t $ fuzz_seed_t)

@@ -10,39 +10,55 @@ let encode payload =
 
 let encoded_len n = n + 4
 
-(* Stream bytes accumulate in [buf]; [pos] is the consumed prefix.
-   The prefix is dropped only when it dominates the buffer, keeping
-   every operation amortised O(1) per byte. *)
-type t = { mutable buf : Buffer.t; mutable pos : int }
+(* Unconsumed stream bytes are the window [buf.[pos .. len)]. A push
+   appends at [len]. Only when the chunk does not fit behind the
+   window does the window move: it slides to the front when it is no
+   longer than the consumed prefix [pos] and the chunk then fits, so a
+   slide costs at most the bytes consumed since the last move;
+   otherwise it is copied into a buffer doubled until both fit, which
+   happens only while [buf] is shorter than twice the window plus the
+   chunk. So each pushed byte is copied in once plus amortised O(1)
+   moves, and each message is copied out of the window exactly once.
+   An empty window restarts at the front. *)
+type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
-let create () = { buf = Buffer.create 4096; pos = 0 }
+let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
 
-let push t chunk = Buffer.add_bytes t.buf chunk
+let make_room t n =
+  let live = t.len - t.pos in
+  if live <= t.pos && live + n <= Bytes.length t.buf then
+    Bytes.blit t.buf t.pos t.buf 0 live
+  else begin
+    let cap = ref (2 * Bytes.length t.buf) in
+    while !cap < live + n do
+      cap := 2 * !cap
+    done;
+    let fresh = Bytes.create !cap in
+    Bytes.blit t.buf t.pos fresh 0 live;
+    t.buf <- fresh
+  end;
+  t.pos <- 0;
+  t.len <- live
 
-let compact t =
-  if t.pos > 65536 && t.pos * 2 > Buffer.length t.buf then begin
-    let live = Buffer.length t.buf - t.pos in
-    let fresh = Buffer.create (max 4096 live) in
-    Buffer.add_subbytes fresh (Buffer.to_bytes t.buf) t.pos live;
-    t.buf <- fresh;
-    t.pos <- 0
-  end
-
-let byte t i = Char.code (Buffer.nth t.buf (t.pos + i))
+let push t chunk =
+  let n = Bytes.length chunk in
+  if t.len + n > Bytes.length t.buf then make_room t n;
+  Bytes.blit chunk 0 t.buf t.len n;
+  t.len <- t.len + n
 
 let next t =
-  let avail = Buffer.length t.buf - t.pos in
+  let avail = t.len - t.pos in
   if avail < 4 then None
   else begin
-    let n =
-      (byte t 0 lsl 24) lor (byte t 1 lsl 16) lor (byte t 2 lsl 8)
-      lor byte t 3
-    in
-    if avail < 4 + n then None
+    let n = Int32.to_int (Bytes.get_int32_be t.buf t.pos) land 0xFFFF_FFFF in
+    if avail - 4 < n then None
     else begin
-      let payload = Bytes.of_string (Buffer.sub t.buf (t.pos + 4) n) in
+      let payload = Bytes.sub t.buf (t.pos + 4) n in
       t.pos <- t.pos + 4 + n;
-      compact t;
+      if t.pos = t.len then begin
+        t.pos <- 0;
+        t.len <- 0
+      end;
       Some payload
     end
   end
@@ -54,4 +70,4 @@ let rec iter_available t f =
       iter_available t f
   | None -> ()
 
-let buffered t = Buffer.length t.buf - t.pos
+let buffered t = t.len - t.pos

@@ -19,6 +19,18 @@ type handle = int
    one store per array. No entry is boxed: pushing and popping
    allocate nothing once the arrays are large enough.
 
+   The same-instant run. A simulation schedules many events at the
+   instant it is executing (every zero-delay continuation), and in a
+   heap each of them would sift up to the root and back down. So a
+   plain [push] at [run_time] goes instead to a FIFO run beside the
+   heap: a ring of (seq, value) pairs that all share the timestamp
+   [run_time] and the plain rank. Sequence numbers only grow, so
+   appending keeps the run sorted by the full key, and [min_time] and
+   [pop_min] take the smaller of the run head and the heap root by
+   (time, major, minor, seq): the pop order is exactly the heap-only
+   order. While the run is empty, [run_time] follows the timestamp of
+   the latest pop, which is the simulator's current instant.
+
    Cancellation. [id] is -1 for events that cannot be cancelled;
    a cancellable event gets the next counter value as its handle,
    which stays in [live_handles] until the event is cancelled or pops.
@@ -40,6 +52,13 @@ type 'a t = {
   mutable next_id : int;
   live_handles : (handle, unit) Hashtbl.t;
   mutable live : int;
+  (* The run: [run_len] entries starting at ring slot [run_head];
+     capacities are powers of two. *)
+  mutable run_seq : int array;
+  mutable run_value : 'a array;
+  mutable run_head : int;
+  mutable run_len : int;
+  mutable run_time : int;
 }
 
 (* Filler for vacated [value] cells, so the heap never keeps a popped
@@ -61,6 +80,11 @@ let create () =
     next_id = 0;
     live_handles = Hashtbl.create 16;
     live = 0;
+    run_seq = Array.make initial_capacity 0;
+    run_value = Array.make initial_capacity (vacant ());
+    run_head = 0;
+    run_len = 0;
+    run_time = min_int;
   }
 
 let grow q =
@@ -154,6 +178,20 @@ let remove_top q =
     sift_down q 0 q.time.(n) q.rank.(n) q.seq.(n) q.id.(n) q.value.(n);
   q.value.(n) <- vacant ()
 
+(* Double the ring, unrolling it so the run starts at slot 0. *)
+let grow_run q =
+  let cap = Array.length q.run_seq in
+  let unroll a fill =
+    let b = Array.make (2 * cap) fill in
+    let first = cap - q.run_head in
+    Array.blit a q.run_head b 0 first;
+    Array.blit a 0 b first q.run_head;
+    b
+  in
+  q.run_seq <- unroll q.run_seq 0;
+  q.run_value <- unroll q.run_value (vacant ());
+  q.run_head <- 0
+
 let push_entry q time rank value h =
   if q.size = Array.length q.time then grow q;
   let s = q.next_seq in
@@ -163,7 +201,18 @@ let push_entry q time rank value h =
   q.live <- q.live + 1;
   sift_up q i time rank s h value
 
-let push q time value = push_entry q time plain_rank value (-1)
+let push q time value =
+  if time = q.run_time then begin
+    if q.run_len = Array.length q.run_seq then grow_run q;
+    let s = q.next_seq in
+    q.next_seq <- s + 1;
+    let i = (q.run_head + q.run_len) land (Array.length q.run_seq - 1) in
+    q.run_seq.(i) <- s;
+    q.run_value.(i) <- value;
+    q.run_len <- q.run_len + 1;
+    q.live <- q.live + 1
+  end
+  else push_entry q time plain_rank value (-1)
 
 let push_keyed q time ~major ~minor value =
   if major < 0 || major >= major_limit || minor < 0 || minor >= minor_limit
@@ -194,30 +243,54 @@ let rec skip_dead q =
     end
   end
 
+(* Whether the next pop takes the run head rather than the heap root:
+   the run holds plain entries at [run_time], so they compare with
+   the root by (time, rank, seq). Call after [skip_dead]. *)
+let run_first q =
+  q.run_len > 0
+  && (q.size = 0
+     ||
+     let t = q.time.(0) in
+     q.run_time < t
+     || q.run_time = t
+        && (plain_rank < q.rank.(0)
+           || (plain_rank = q.rank.(0) && q.run_seq.(q.run_head) < q.seq.(0))))
+
 let min_time q =
   skip_dead q;
-  if q.size = 0 then max_int else q.time.(0)
+  if run_first q then q.run_time
+  else if q.size = 0 then max_int
+  else q.time.(0)
 
 let pop_min q =
   skip_dead q;
-  if q.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
-  let v = q.value.(0) in
-  let h = q.id.(0) in
-  if h >= 0 then Hashtbl.remove q.live_handles h;
-  remove_top q;
-  q.live <- q.live - 1;
-  v
+  if run_first q then begin
+    let i = q.run_head in
+    let v = q.run_value.(i) in
+    q.run_value.(i) <- vacant ();
+    q.run_head <- (i + 1) land (Array.length q.run_seq - 1);
+    q.run_len <- q.run_len - 1;
+    q.live <- q.live - 1;
+    v
+  end
+  else begin
+    if q.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+    let v = q.value.(0) in
+    let h = q.id.(0) in
+    if h >= 0 then Hashtbl.remove q.live_handles h;
+    if q.run_len = 0 then q.run_time <- q.time.(0);
+    remove_top q;
+    q.live <- q.live - 1;
+    v
+  end
 
 let pop q =
-  skip_dead q;
-  if q.size = 0 then None
+  if q.live = 0 then None
   else
-    let t = q.time.(0) in
+    let t = min_time q in
     Some (t, pop_min q)
 
-let peek_time q =
-  skip_dead q;
-  if q.size = 0 then None else Some q.time.(0)
+let peek_time q = if q.live = 0 then None else Some (min_time q)
 
 let is_empty q = q.live = 0
 let length q = q.live

@@ -4,10 +4,13 @@
     keyed on (time, major, minor, insertion sequence). Plain pushes
     share one (major, minor) rank, so events with equal timestamps pop
     in insertion order, which makes simulations deterministic without
-    relying on heap tie-breaking accidents. Entries are not boxed:
-    {!push}, {!min_time} and {!pop_min} allocate nothing once the
-    arrays have grown to the queue's peak depth, and a popped value is
-    no longer reachable from the queue. *)
+    relying on heap tie-breaking accidents. Plain pushes at the
+    timestamp of the latest pop skip the heap: they wait in a FIFO run
+    beside it, and the pop order is exactly the heap-only order.
+    Entries are not boxed: {!push}, {!min_time} and {!pop_min}
+    allocate nothing once the arrays have grown to the queue's peak
+    depth, and a popped value is no longer reachable from the
+    queue. *)
 
 type 'a t
 

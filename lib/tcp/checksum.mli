@@ -7,8 +7,16 @@
     to pick flow groups. *)
 
 val ones_complement : Bytes.t -> off:int -> len:int -> init:int -> int
-(** Raw 16-bit ones'-complement sum (not yet complemented). An odd
-    trailing byte is padded with zero, per RFC 1071. *)
+(** Raw ones'-complement sum of [init] and the big-endian 16-bit words
+    of [buf.[off .. off+len)] (not yet complemented). An odd trailing
+    byte is padded with zero, per RFC 1071. The raw value is specified
+    only up to its ones'-complement residue: pass it to {!finish} or
+    use it as another call's [init], but do not compare it directly.
+    For [init >= 0], [finish] of it is what [finish] gives for the
+    plain sum; an all-zero range adds nothing. When [len <= 0] the
+    result is [init] itself, whatever [off]. Otherwise raises
+    [Invalid_argument] iff [[off, off+len)] is not inside [buf].
+    Sums 64-bit words and allocates nothing. *)
 
 val finish : int -> int
 (** Fold carries and complement, yielding the 16-bit checksum. *)

@@ -4,10 +4,25 @@ type stats = {
   rejected : int;
   raised : int;
   csum_caught : int;
+  csum_mismatched : int;
   failures : string list;
 }
 
-let ok s = s.raised = 0
+let ok s = s.raised = 0 && s.csum_mismatched = 0
+
+(* The Internet checksum by its RFC 1071 definition, one byte at a
+   time: the reference the word-at-a-time [Checksum.internet] must
+   match on every mutated frame. *)
+let bytewise_internet buf ~off ~len =
+  let sum = ref 0 in
+  for k = 0 to len - 1 do
+    let b = Char.code (Bytes.get buf (off + k)) in
+    sum := !sum + if k land 1 = 0 then b lsl 8 else b
+  done;
+  while !sum > 0xFFFF do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xFFFF
 
 (* A seeded, structurally diverse valid frame: random addressing,
    flags, options, ECN marking, VLAN tagging and payload size — so
@@ -128,11 +143,16 @@ let mutate rng bytes =
 
 let run ?(seed = 0xF022L) ?(cases = 2000) () =
   let rng = Sim.Rng.create seed in
+  (* Checksum ranges come from their own stream, so the corpus of
+     frames and mutations is the same as without the cross-check. *)
+  let range_rng = Sim.Rng.stream ~seed ~key:1 in
   let accepted = ref 0 in
   let rejected = ref 0 in
   let raised = ref 0 in
   let csum_caught = ref 0 in
+  let csum_mismatched = ref 0 in
   let failures = ref [] in
+  let fail msg = if List.length !failures < 10 then failures := msg :: !failures in
   for _ = 1 to cases do
     let frame = random_frame rng in
     let wire = Wire.encode frame in
@@ -146,26 +166,33 @@ let run ?(seed = 0xF022L) ?(cases = 2000) () =
     | Error _ -> incr rejected
     | exception e ->
         incr raised;
-        if List.length !failures < 10 then
-          failures :=
-            Printf.sprintf "%s: raised %s" desc (Printexc.to_string e)
-            :: !failures);
+        fail (Printf.sprintf "%s: raised %s" desc (Printexc.to_string e)));
     (* The checksum helpers themselves must also tolerate any input
-       when given in-bounds ranges. *)
+       when given in-bounds ranges, and the Internet checksum must
+       equal the byte-wise one over a random such range. *)
     let mn = Bytes.length mutated in
     if mn > 0 then begin
+      let off = Sim.Rng.int range_rng mn in
+      let len = Sim.Rng.int range_rng (mn - off + 1) in
       match
-        ( Checksum.internet mutated ~off:0 ~len:mn,
+        ( Checksum.internet mutated ~off ~len,
           Checksum.crc32 mutated ~off:0 ~len:mn )
       with
-      | _ -> ()
+      | sum, _ ->
+          let want = bytewise_internet mutated ~off ~len in
+          if sum <> want then begin
+            incr csum_mismatched;
+            fail
+              (Printf.sprintf
+                 "%s: internet checksum over [%d, +%d) is 0x%04x, byte-wise \
+                  0x%04x"
+                 desc off len sum want)
+          end
       | exception e ->
           incr raised;
-          if List.length !failures < 10 then
-            failures :=
-              Printf.sprintf "%s: checksum raised %s" desc
-                (Printexc.to_string e)
-              :: !failures
+          fail
+            (Printf.sprintf "%s: checksum raised %s" desc
+               (Printexc.to_string e))
     end
   done;
   {
@@ -174,5 +201,6 @@ let run ?(seed = 0xF022L) ?(cases = 2000) () =
     rejected = !rejected;
     raised = !raised;
     csum_caught = !csum_caught;
+    csum_mismatched = !csum_mismatched;
     failures = List.rev !failures;
   }

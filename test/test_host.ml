@@ -165,6 +165,100 @@ let test_framing_buffered () =
   Host.Framing.push d (Bytes.of_string "\000\000");
   check_int "partial header buffered" 2 (Host.Framing.buffered d)
 
+(* Model check of the decoder's window on large and empty messages:
+   0 B up to 200 KiB payloads, so the window doubles past its initial
+   4 KiB and slides; chunk sizes from 1 B (splits inside the 4-byte
+   header) to whole-stream pushes; and pushes interleaved with single
+   [next] calls and full drains. After every step [buffered] must be
+   the bytes pushed minus the bytes consumed, and the messages must
+   come out whole and in order. *)
+let prop_framing_window_model =
+  let open QCheck.Gen in
+  let size =
+    frequency
+      [
+        (2, return 0);
+        (4, int_bound 50);
+        (1, return 1448);
+        (1, return 65536);
+        (1, return (200 * 1024));
+      ]
+  in
+  let gen =
+    let* sizes = list_size (int_bound 10) size in
+    let* seed = int in
+    return (sizes, seed)
+  in
+  QCheck.Test.make ~name:"framing: window model with 0 B to 200 KiB messages"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (sizes, seed) ->
+         Printf.sprintf "sizes [%s], seed %d"
+           (String.concat "; " (List.map string_of_int sizes))
+           seed)
+       gen)
+    (fun (sizes, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let msgs =
+        List.mapi
+          (fun k n -> Bytes.init n (fun i -> Char.chr ((i * 31 + k) land 0xFF)))
+          sizes
+      in
+      let stream = Bytes.concat Bytes.empty (List.map Host.Framing.encode msgs) in
+      let d = Host.Framing.create () in
+      let n = Bytes.length stream in
+      let pushed = ref 0 and consumed = ref 0 in
+      let want = ref msgs and ok = ref true in
+      let take m =
+        consumed := !consumed + Host.Framing.encoded_len (Bytes.length m);
+        match !want with
+        | w :: rest when Bytes.equal w m -> want := rest
+        | _ -> ok := false
+      in
+      let check () =
+        if Host.Framing.buffered d <> !pushed - !consumed then ok := false
+      in
+      while !pushed < n && !ok do
+        let left = n - !pushed in
+        let l =
+          min left
+            (match Random.State.int rng 5 with
+            | 0 -> 1 + Random.State.int rng 3
+            | 1 -> 1 + Random.State.int rng 7
+            | 2 -> 1448
+            | 3 -> 4096 + Random.State.int rng 70_000
+            | _ -> left)
+        in
+        Host.Framing.push d (Bytes.sub stream !pushed l);
+        pushed := !pushed + l;
+        check ();
+        (match Random.State.int rng 3 with
+        | 0 -> ()
+        | 1 -> Option.iter take (Host.Framing.next d)
+        | _ -> Host.Framing.iter_available d take);
+        check ()
+      done;
+      Host.Framing.iter_available d take;
+      check ();
+      !ok && !want = [] && Host.Framing.buffered d = 0)
+
+(* Feeding a header one byte at a time never yields a message early. *)
+let test_framing_split_header () =
+  let d = Host.Framing.create () in
+  let wire = Host.Framing.encode (Bytes.of_string "xyz") in
+  for i = 0 to Bytes.length wire - 2 do
+    Host.Framing.push d (Bytes.sub wire i 1);
+    Alcotest.(check (option string))
+      (Printf.sprintf "nothing after %d bytes" (i + 1))
+      None
+      (Option.map Bytes.to_string (Host.Framing.next d));
+    check_int "buffered" (i + 1) (Host.Framing.buffered d)
+  done;
+  Host.Framing.push d (Bytes.sub wire (Bytes.length wire - 1) 1);
+  Alcotest.(check (option string)) "whole message" (Some "xyz")
+    (Option.map Bytes.to_string (Host.Framing.next d));
+  check_int "nothing left" 0 (Host.Framing.buffered d)
+
 (* --- KV protocol ------------------------------------------------------------------ *)
 
 let test_kv_request_roundtrip () =
@@ -256,6 +350,9 @@ let suite =
     Alcotest.test_case "framing simple" `Quick test_framing_simple;
     QCheck_alcotest.to_alcotest prop_framing_chunking_invariant;
     Alcotest.test_case "framing partial header" `Quick test_framing_buffered;
+    QCheck_alcotest.to_alcotest prop_framing_window_model;
+    Alcotest.test_case "framing header split bytewise" `Quick
+      test_framing_split_header;
     Alcotest.test_case "kv request roundtrip" `Quick test_kv_request_roundtrip;
     Alcotest.test_case "kv response roundtrip" `Quick
       test_kv_response_roundtrip;

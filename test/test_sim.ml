@@ -87,7 +87,11 @@ let prop_queue_sorted =
    against a sorted-list reference ordered by (time, major, minor,
    seq), with [length] and [is_empty] checked after each step. Few distinct times, majors and minors make equal-key ties the
    common case; long op lists push the heap well past its initial
-   64-entry capacity. *)
+   64-entry capacity. A [Burst] runs its steps at the current instant
+   (the time of the latest pop), where plain pushes join the queue's
+   same-instant run: bursts mix them with channel-rank and
+   cancellable pushes at that instant, cancels and pops, and are long
+   enough to grow the run past its initial 64 slots. *)
 type q_op =
   | Push of int
   | Push_keyed of int * int * int
@@ -97,6 +101,16 @@ type q_op =
   | Pop_min
   | Peek_time
   | Min_time
+  | Burst of burst list
+
+and burst = B_push | B_keyed of int | B_cancellable | B_cancel of int | B_pop
+
+let pp_burst = function
+  | B_push -> "push"
+  | B_keyed mi -> Printf.sprintf "keyed (0,%d)" mi
+  | B_cancellable -> "cancellable"
+  | B_cancel k -> Printf.sprintf "cancel #%d" k
+  | B_pop -> "pop"
 
 let pp_q_op = function
   | Push t -> Printf.sprintf "push %d" t
@@ -107,6 +121,8 @@ let pp_q_op = function
   | Pop_min -> "pop_min"
   | Peek_time -> "peek_time"
   | Min_time -> "min_time"
+  | Burst bs ->
+      Printf.sprintf "burst [%s]" (String.concat ", " (List.map pp_burst bs))
 
 let q_ops_arb =
   let open QCheck.Gen in
@@ -125,6 +141,18 @@ let q_ops_arb =
         (3, return Pop_min);
         (1, return Peek_time);
         (1, return Min_time);
+        ( 1,
+          map
+            (fun bs -> Burst bs)
+            (list_size (int_range 1 150)
+               (frequency
+                  [
+                    (10, return B_push);
+                    (1, map (fun mi -> B_keyed mi) (int_bound 3));
+                    (2, return B_cancellable);
+                    (1, map (fun k -> B_cancel k) nat);
+                    (3, return B_pop);
+                  ])) );
       ]
   in
   QCheck.make
@@ -161,66 +189,81 @@ let prop_queue_model =
       let fail i op fmt =
         QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) i (pp_q_op op)
       in
-      List.iteri
-        (fun i op ->
-          (match op with
-          | Push t ->
-              let v = insert ~time:t ~major:1 ~minor:0 ~handle:(-1) in
-              Sim.Event_queue.push q t v
-          | Push_keyed (t, major, minor) ->
-              let v = insert ~time:t ~major ~minor ~handle:(-1) in
-              Sim.Event_queue.push_keyed q t ~major ~minor v
-          | Push_cancellable t ->
-              let idx = Array.length !handles in
-              let v = insert ~time:t ~major:1 ~minor:0 ~handle:idx in
-              let h = Sim.Event_queue.push_cancellable q t v in
-              handles := Array.append !handles [| h |]
-          | Cancel k ->
-              let n = Array.length !handles in
-              if n > 0 then begin
-                let idx = k mod n in
-                Sim.Event_queue.cancel q !handles.(idx);
-                model := List.filter (fun e -> e.r_handle <> idx) !model
-              end
-          | Pop -> (
-              let got = Sim.Event_queue.pop q in
-              match (!model, got) with
-              | [], None -> ()
-              | e :: rest, Some (t, v) ->
-                  let et, _, _, _ = e.r_key in
-                  if (t, v) <> (et, value_of e) then
-                    fail i op "got (%d, %d), want (%d, %d)" t v et
-                      (value_of e);
-                  model := rest
-              | _ -> fail i op "emptiness disagrees")
-          | Pop_min -> (
-              match !model with
-              | [] -> (
-                  match Sim.Event_queue.pop_min q with
-                  | _ -> fail i op "pop_min on an empty queue returned"
-                  | exception Invalid_argument _ -> ())
-              | e :: rest ->
-                  let et, _, _, _ = e.r_key in
-                  let t = Sim.Event_queue.min_time q in
-                  let v = Sim.Event_queue.pop_min q in
-                  if (t, v) <> (et, value_of e) then
-                    fail i op "got (%d, %d), want (%d, %d)" t v et
-                      (value_of e);
-                  model := rest)
-          | Peek_time ->
-              if Sim.Event_queue.peek_time q <> head_time () then
-                fail i op "peek_time disagrees"
-          | Min_time ->
-              let want = Option.value (head_time ()) ~default:max_int in
-              if Sim.Event_queue.min_time q <> want then
-                fail i op "min_time %d, want %d" (Sim.Event_queue.min_time q)
-                  want);
-          let n = List.length !model in
-          if Sim.Event_queue.length q <> n then
-            fail i op "length %d, want %d" (Sim.Event_queue.length q) n;
-          if Sim.Event_queue.is_empty q <> (n = 0) then
-            fail i op "is_empty disagrees")
-        ops;
+      (* The time of the latest pop: the instant bursts run at. *)
+      let now = ref 0 in
+      let rec apply i op =
+        (match op with
+        | Push t ->
+            let v = insert ~time:t ~major:1 ~minor:0 ~handle:(-1) in
+            Sim.Event_queue.push q t v
+        | Push_keyed (t, major, minor) ->
+            let v = insert ~time:t ~major ~minor ~handle:(-1) in
+            Sim.Event_queue.push_keyed q t ~major ~minor v
+        | Push_cancellable t ->
+            let idx = Array.length !handles in
+            let v = insert ~time:t ~major:1 ~minor:0 ~handle:idx in
+            let h = Sim.Event_queue.push_cancellable q t v in
+            handles := Array.append !handles [| h |]
+        | Cancel k ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let idx = k mod n in
+              Sim.Event_queue.cancel q !handles.(idx);
+              model := List.filter (fun e -> e.r_handle <> idx) !model
+            end
+        | Pop -> (
+            let got = Sim.Event_queue.pop q in
+            match (!model, got) with
+            | [], None -> ()
+            | e :: rest, Some (t, v) ->
+                let et, _, _, _ = e.r_key in
+                if (t, v) <> (et, value_of e) then
+                  fail i op "got (%d, %d), want (%d, %d)" t v et
+                    (value_of e);
+                now := t;
+                model := rest
+            | _ -> fail i op "emptiness disagrees")
+        | Pop_min -> (
+            match !model with
+            | [] -> (
+                match Sim.Event_queue.pop_min q with
+                | _ -> fail i op "pop_min on an empty queue returned"
+                | exception Invalid_argument _ -> ())
+            | e :: rest ->
+                let et, _, _, _ = e.r_key in
+                let t = Sim.Event_queue.min_time q in
+                let v = Sim.Event_queue.pop_min q in
+                if (t, v) <> (et, value_of e) then
+                  fail i op "got (%d, %d), want (%d, %d)" t v et
+                    (value_of e);
+                now := t;
+                model := rest)
+        | Peek_time ->
+            if Sim.Event_queue.peek_time q <> head_time () then
+              fail i op "peek_time disagrees"
+        | Min_time ->
+            let want = Option.value (head_time ()) ~default:max_int in
+            if Sim.Event_queue.min_time q <> want then
+              fail i op "min_time %d, want %d" (Sim.Event_queue.min_time q)
+                want
+        | Burst bs ->
+            List.iter
+              (fun b ->
+                apply i
+                  (match b with
+                  | B_push -> Push !now
+                  | B_keyed minor -> Push_keyed (!now, 0, minor)
+                  | B_cancellable -> Push_cancellable !now
+                  | B_cancel k -> Cancel k
+                  | B_pop -> Pop_min))
+              bs);
+        let n = List.length !model in
+        if Sim.Event_queue.length q <> n then
+          fail i op "length %d, want %d" (Sim.Event_queue.length q) n;
+        if Sim.Event_queue.is_empty q <> (n = 0) then
+          fail i op "is_empty disagrees"
+      in
+      List.iteri apply ops;
       true)
 
 let test_queue_float_values () =
@@ -270,6 +313,41 @@ let test_queue_releases_popped () =
   Gc.full_major ();
   for i = 0 to n - 1 do
     check_bool (Printf.sprintf "closure %d collected" i) false (Weak.check w i)
+  done;
+  ignore (Sys.opaque_identity q)
+
+let test_queue_releases_run_values () =
+  (* The same for values held in the same-instant run: closures pushed
+     at the time of the latest pop, some of them popped mid-run. *)
+  let q = Sim.Event_queue.create () in
+  Sim.Event_queue.push q 5 (fun () -> -1);
+  ignore (Sim.Event_queue.pop_min q ());
+  let n = 300 in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let k () = i in
+    Weak.set w i (Some k);
+    Sim.Event_queue.push q 5 k
+  done;
+  let popped = Array.make n false in
+  for _ = 1 to n / 2 do
+    let k = Sim.Event_queue.pop_min q in
+    popped.(k ()) <- true
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check_bool (Printf.sprintf "run closure %d popped" i) (i < n / 2) popped.(i);
+    if popped.(i) then
+      check_bool (Printf.sprintf "popped run closure %d collected" i) false
+        (Weak.check w i)
+  done;
+  while not (Sim.Event_queue.is_empty q) do
+    ignore (Sim.Event_queue.pop_min q ())
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    check_bool (Printf.sprintf "run closure %d collected" i) false
+      (Weak.check w i)
   done;
   ignore (Sys.opaque_identity q)
 
@@ -490,6 +568,8 @@ let suite =
       test_queue_float_values;
     Alcotest.test_case "event queue releases popped values" `Quick
       test_queue_releases_popped;
+    Alcotest.test_case "event queue releases run values" `Quick
+      test_queue_releases_run_values;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine nested scheduling" `Quick
       test_engine_nested_schedule;

@@ -66,6 +66,148 @@ let test_crc32_ints_matches_bytes () =
     (Tcp.Checksum.crc32 b ~off:0 ~len:8)
     (Tcp.Checksum.crc32_ints [ 0x0A000001; 0x0A000002 ])
 
+(* Byte-at-a-time reference for [Checksum.ones_complement] and
+   [Checksum.finish]: the RFC 1071 definition, big-endian 16-bit words
+   with an odd final byte zero-padded, carries folded one at a time.
+   The word-at-a-time sum must agree with it after [finish]. *)
+let ref_ones_complement buf ~off ~len ~init =
+  let sum = ref init in
+  for k = 0 to len - 1 do
+    let b = Char.code (Bytes.get buf (off + k)) in
+    sum := !sum + if k land 1 = 0 then b lsl 8 else b
+  done;
+  !sum
+
+let ref_finish sum =
+  let s = ref sum in
+  while !s > 0xFFFF do
+    s := (!s land 0xFFFF) + (!s lsr 16)
+  done;
+  lnot !s land 0xFFFF
+
+let finish_agrees buf ~off ~len ~init =
+  Tcp.Checksum.finish (Tcp.Checksum.ones_complement buf ~off ~len ~init)
+  = ref_finish (ref_ones_complement buf ~off ~len ~init)
+
+(* Random, all-0x00 and all-0xFF buffers (the last two hit the
+   0 vs 0xFFFF residue edge), offsets 0-7, any length including odd
+   ones, and [init] values up to pseudo-header size and beyond. *)
+let csum_case_gen =
+  let open QCheck.Gen in
+  let* n = frequency [ (3, int_bound 80); (1, int_range 80 3000) ] in
+  let* fill = frequency [ (3, return `Random); (1, return `Zero); (1, return `Ones) ] in
+  let* seed = int in
+  let rng = Random.State.make [| seed |] in
+  let buf =
+    Bytes.init n (fun _ ->
+        match fill with
+        | `Random -> Char.chr (Random.State.int rng 256)
+        | `Zero -> '\x00'
+        | `Ones -> '\xFF')
+  in
+  let* off = int_bound (min 7 n) in
+  let* len = int_bound (n - off) in
+  let* init =
+    frequency [ (1, return 0); (3, int_bound 0x3FFFF); (1, int_bound (1 lsl 40)) ]
+  in
+  return (buf, off, len, init)
+
+let prop_checksum_matches_bytewise =
+  QCheck.Test.make
+    ~name:"checksum: word-at-a-time sum agrees with the byte-wise one"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (b, off, len, init) ->
+         Printf.sprintf "len %d, off %d, sum len %d, init %d: %S"
+           (Bytes.length b) off len init (Bytes.to_string b))
+       csum_case_gen)
+    (fun (buf, off, len, init) -> finish_agrees buf ~off ~len ~init)
+
+let test_checksum_residue_edges () =
+  List.iter
+    (fun n ->
+      let zeros = Bytes.make n '\x00' and ones = Bytes.make n '\xFF' in
+      List.iter
+        (fun off ->
+          let len = n - off in
+          check_bool (Printf.sprintf "zeros n=%d off=%d" n off) true
+            (finish_agrees zeros ~off ~len ~init:0);
+          check_bool (Printf.sprintf "ones n=%d off=%d" n off) true
+            (finish_agrees ones ~off ~len ~init:0);
+          check_bool (Printf.sprintf "ones+init n=%d off=%d" n off) true
+            (finish_agrees ones ~off ~len ~init:0xFFFF))
+        [ 0; 1; 3; 7 ])
+    [ 8; 9; 31; 32; 33; 64; 1448; 1449 ];
+  check_int "all-zero sums to checksum 0xFFFF" 0xFFFF
+    (Tcp.Checksum.internet (Bytes.make 40 '\x00') ~off:0 ~len:40);
+  check_int "all-0xFF sums to checksum 0" 0
+    (Tcp.Checksum.internet (Bytes.make 40 '\xFF') ~off:0 ~len:40)
+
+(* Out-of-range calls behave as the byte-wise sum always did: an empty
+   or negative length returns [init] untouched, whatever [off]; any
+   other range raises [Invalid_argument] exactly when it leaves the
+   buffer. *)
+let prop_checksum_range_behaviour =
+  QCheck.Test.make ~name:"checksum: empty and out-of-range calls" ~count:1000
+    QCheck.(
+      quad (int_bound 40) (int_range (-12) 52) (int_range (-8) 52)
+        (int_range (-100) 100))
+    (fun (n, off, len, init) ->
+      let buf = Bytes.make n '\x5A' in
+      let got =
+        match Tcp.Checksum.ones_complement buf ~off ~len ~init with
+        | s -> Some s
+        | exception Invalid_argument _ -> None
+      in
+      if len <= 0 then got = Some init
+      else if off < 0 || off + len > n then got = None
+      else got <> None && finish_agrees buf ~off ~len ~init:(abs init))
+
+(* [helper_csum_fixup] on a frame whose IP total length is below 20:
+   the TCP range is empty, so its checksum is [finish] of the bare
+   pseudo-header sum, with a negative length. *)
+let test_csum_fixup_short_ip_length () =
+  let module I = Flextoe.Bpf_insn in
+  let seg =
+    S.make ~payload:(Bytes.of_string "payload!") ~src_ip:1 ~dst_ip:2
+      ~src_port:3 ~dst_port:4 ~seq:10 ~ack_seq:20 ()
+  in
+  let prog =
+    match
+      Flextoe.Ebpf.load_unverified
+        [| I.Call I.helper_csum_fixup; I.Alu64 (I.Add, 0, I.Imm 2); I.Exit |]
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let set16 b o v =
+    Bytes.set b o (Char.chr ((v lsr 8) land 0xFF));
+    Bytes.set b (o + 1) (Char.chr (v land 0xFF))
+  in
+  let ip = Tcp.Wire.off_ip and tcp = Tcp.Wire.off_tcp in
+  List.iter
+    (fun ip_len ->
+      let b = Tcp.Wire.encode (S.make_frame ~src_mac:1 ~dst_mac:2 seg) in
+      set16 b (ip + 2) ip_len;
+      let out = Flextoe.Ebpf.run prog ~maps:[||] ~now_ns:0L ~packet:b in
+      check_int
+        (Printf.sprintf "helper succeeded (ip len %d)" ip_len)
+        I.xdp_pass out.Flextoe.Ebpf.ret;
+      set16 b (ip + 10) 0;
+      set16 b (ip + 10)
+        (ref_finish (ref_ones_complement b ~off:ip ~len:20 ~init:0));
+      set16 b (tcp + 16) 0;
+      let length = ip_len - 20 in
+      set16 b (tcp + 16)
+        (ref_finish
+           (Tcp.Checksum.pseudo_header_sum ~src_ip:1 ~dst_ip:2 ~protocol:6
+              ~length));
+      Alcotest.(check string)
+        (Printf.sprintf "packet after fixup (ip len %d)" ip_len)
+        (Bytes.to_string b)
+        (Bytes.to_string out.Flextoe.Ebpf.packet))
+    [ 0; 7; 19 ]
+
 (* --- Flow ------------------------------------------------------------------ *)
 
 let test_flow_reverse () =
@@ -375,6 +517,12 @@ let suite =
       test_checksum_verification_roundtrip;
     Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
     Alcotest.test_case "crc32 int form" `Quick test_crc32_ints_matches_bytes;
+    QCheck_alcotest.to_alcotest prop_checksum_matches_bytewise;
+    Alcotest.test_case "checksum residue edges" `Quick
+      test_checksum_residue_edges;
+    QCheck_alcotest.to_alcotest prop_checksum_range_behaviour;
+    Alcotest.test_case "csum_fixup with IP length < 20" `Quick
+      test_csum_fixup_short_ip_length;
     Alcotest.test_case "flow reverse" `Quick test_flow_reverse;
     Alcotest.test_case "flow group stability" `Quick test_flow_group_stable;
     Alcotest.test_case "flow of rx segment" `Quick test_flow_of_segment_rx;
