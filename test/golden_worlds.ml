@@ -22,10 +22,12 @@ let conns = 4
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let cfg ~batch ~scope ~san ~scale =
+let cfg ?(parallelism = Flextoe.Config.default.Flextoe.Config.parallelism)
+    ~batch ~scope ~san ~scale () =
   {
     Flextoe.Config.default with
-    Flextoe.Config.batch = Flextoe.Config.batch_of batch;
+    Flextoe.Config.parallelism;
+    batch = Flextoe.Config.batch_of batch;
     (* The digests pin the unguarded pipeline: FLEXGUARD=1 in the
        environment (the churn CI job) must not perturb them. *)
     guard = Flextoe.Config.guard_none;
@@ -114,10 +116,10 @@ let echo_workload ?(conns = conns) ?(pipeline = 4) ?(req_bytes = 700)
            ?on_response ?req_cycles ()))
     client_eps
 
-let setup_echo ?(batch = 1) ?(scope = false) ?(san = false) ?(scale = 0)
-    ~engine () =
+let setup_echo ?parallelism ?(batch = 1) ?(scope = false) ?(san = false)
+    ?(scale = 0) ~engine () =
   let fabric = Netsim.Fabric.create engine () in
-  let config = cfg ~batch ~scope ~san ~scale in
+  let config = cfg ?parallelism ~batch ~scope ~san ~scale () in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
   let stats = Host.Rpc.Stats.create engine in
@@ -128,9 +130,9 @@ let setup_echo ?(batch = 1) ?(scope = false) ?(san = false) ?(scale = 0)
     ();
   fun () -> finish ~engine ~server:a ~streams ~ops:(Host.Rpc.Stats.ops stats)
 
-let run_echo ?batch ?scope ?san ?scale () =
+let run_echo ?parallelism ?batch ?scope ?san ?scale () =
   let engine = Sim.Engine.create ~seed:echo_seed () in
-  let fin = setup_echo ?batch ?scope ?san ?scale ~engine () in
+  let fin = setup_echo ?parallelism ?batch ?scope ?san ?scale ~engine () in
   Sim.Engine.run ~until:(Sim.Time.ms 10) engine;
   fin ()
 
@@ -186,7 +188,7 @@ let kv_client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
 let setup_kv ?(batch = 1) ?(scope = false) ?(san = false) ?(scale = 0)
     ~engine () =
   let fabric = Netsim.Fabric.create engine () in
-  let config = cfg ~batch ~scope ~san ~scale in
+  let config = cfg ~batch ~scope ~san ~scale () in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
   ignore
@@ -214,3 +216,9 @@ let seed_echo_payload = "2a277c4b87cde33bb32368982d98f12c"
 let seed_echo_metrics = "c85f2da43844762cefa887de087bd145"
 let seed_kv_strict = "21e9156d5e55d06f16eaaa64ec86fd4e"
 let seed_kv_payload = "b2fbd14d1ebc42d27ccebe4524469f24"
+
+(* The run-to-completion baseline (Table 3, row 1) on the echo world,
+   captured before its RX path was folded onto the pipeline's shared
+   summary and post-processing helpers. *)
+let seed_rtc_echo_strict = "5e9cf3a91f86f4494bf93879e890e8f9"
+let seed_rtc_echo_payload = "dfabf5ec523bba4376f967844421987f"

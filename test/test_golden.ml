@@ -65,6 +65,18 @@ let test_kv_batch1_strict () =
     seed_kv_strict r.strict_digest;
   check_str "kv batch=1 payload digest" seed_kv_payload r.payload_digest
 
+(* The run-to-completion baseline shares its segment handling with the
+   pipeline; its own digests pin that sharing to the RTC behaviour it
+   replaced. *)
+let test_rtc_echo_strict () =
+  let r = run_echo ~parallelism:Flextoe.Config.t3_baseline () in
+  if print_mode then
+    Printf.printf "seed_rtc_echo_strict = %S\nseed_rtc_echo_payload = %S\n"
+      r.strict_digest r.payload_digest;
+  check_bool "rtc echo made progress" true (r.ops > 500);
+  check_str "rtc echo strict digest" seed_rtc_echo_strict r.strict_digest;
+  check_str "rtc echo payload digest" seed_rtc_echo_payload r.payload_digest
+
 (* FlexScale at shards=1: the whole sharding machinery — steering,
    per-shard scheduler queues, pinned per-shard caches, the replicated
    graph IR — must compile down to the seed pipeline when there is
@@ -141,7 +153,7 @@ let echo_fixed_client ~endpoint ~server_ip ~server_port ~conns ~pipeline
 let run_echo_fixed ~batch () =
   let engine = Sim.Engine.create ~seed:44L () in
   let fabric = Netsim.Fabric.create engine () in
-  let config = cfg ~batch ~scope:false ~san:false ~scale:0 in
+  let config = cfg ~batch ~scope:false ~san:false ~scale:0 () in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
   Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
@@ -241,7 +253,7 @@ let kv_fixed_client ~endpoint ~engine ~server_ip ~server_port ~conns
 let run_kv_fixed ~batch () =
   let engine = Sim.Engine.create ~seed:45L () in
   let fabric = Netsim.Fabric.create engine () in
-  let config = cfg ~batch ~scope:false ~san:false ~scale:0 in
+  let config = cfg ~batch ~scope:false ~san:false ~scale:0 () in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
   ignore
@@ -287,6 +299,8 @@ let suite =
       test_echo_batch1_metrics;
     Alcotest.test_case "kv batch=1 strict digest" `Quick
       test_kv_batch1_strict;
+    Alcotest.test_case "rtc baseline echo strict digest" `Quick
+      test_rtc_echo_strict;
     Alcotest.test_case "sharded datapath at shards=1 is bit-identical"
       `Quick test_scale1_bit_identical;
     Alcotest.test_case "echo payload-identical at batch>1" `Quick
