@@ -162,33 +162,22 @@ type scope_mode = Scope_off | Scope_metrics | Scope_full
 type t = {
   params : Nfp.Params.t;
   parallelism : parallelism;
-  costs : stage_costs;
   rx_buf_bytes : int;
   tx_buf_bytes : int;
   mss : int;
   delayed_acks : bool;
   window_scale : int;
-  rto : Sim.Time.t;
-  rto_max : Sim.Time.t;
-  max_rto_retries : int;
   cc : congestion_control;
   cc_interval : Sim.Time.t;
-  wheel_slot : Sim.Time.t;
-  wheel_slots : int;
-  libtoe_poll : Sim.Time.t;
-  sockets_api_cycles : int;
   notify_cycles : int;
   san : bool;  (** Enable the FlexSan dynamic sanitizer (layer 2). *)
   scope : scope_mode;  (** FlexScope profiling (off / metrics / full). *)
   batch : batch;  (** Pipeline-boundary batching degrees. *)
-  batch_delay : Sim.Time.t;
-      (** How long a partial batch (GRO window, doorbell ring, ARX
-          accumulator) may be held before a timer flushes it. *)
   guard : guard;  (** FlexGuard overload control ([guard_none] off). *)
   scale : scale;  (** FlexScale sharding ([scale_none] off). *)
 }
 
-let default_costs =
+let costs =
   {
     preproc_validate = 50;
     preproc_csum = 30;
@@ -212,6 +201,15 @@ let default_costs =
     dma_doorbell = 30;
     notify_coalesce = 25;
   }
+
+let rto = Sim.Time.ms 2
+let rto_max = Sim.Time.ms 32
+let max_rto_retries = 8
+let wheel_slot = Sim.Time.us 2
+let wheel_slots = 4096
+let libtoe_poll = Sim.Time.us 1
+let sockets_api_cycles = 310
+let batch_delay = Sim.Time.us 1
 
 let t3_flow_groups =
   {
@@ -261,26 +259,17 @@ let default =
   {
     params = Nfp.Params.default;
     parallelism = t3_flow_groups;
-    costs = default_costs;
     rx_buf_bytes = 256 * 1024;
     tx_buf_bytes = 256 * 1024;
     mss = Tcp.Segment.mss_with_timestamps;
     delayed_acks = false;
     window_scale = 7;
-    rto = Sim.Time.ms 2;
-    rto_max = Sim.Time.ms 32;
-    max_rto_retries = 8;
     cc = Dctcp;
     cc_interval = Sim.Time.us 50;
-    wheel_slot = Sim.Time.us 2;
-    wheel_slots = 4096;
-    libtoe_poll = Sim.Time.us 1;
-    sockets_api_cycles = 310;
     notify_cycles = 60;
     san = san_env;
     scope = scope_env;
     batch = batch_none;
-    batch_delay = Sim.Time.us 1;
     guard = guard_env;
     scale = scale_none;
   }

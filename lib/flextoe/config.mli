@@ -24,8 +24,8 @@ type parallelism = {
   ctx_replicas : int;  (** Context-queue FPCs. *)
 }
 
-(** Per-stage instruction budgets, in FPC cycles. These calibrate the
-    simulation; see DESIGN.md §6 for how they were chosen. *)
+(** Per-stage instruction budgets, in FPC cycles (the fields of
+    {!costs}). *)
 type stage_costs = {
   preproc_validate : int;
   preproc_csum : int;
@@ -58,6 +58,10 @@ type stage_costs = {
       (** Per absorbed ARX notification when coalescing (batch>1
           only). *)
 }
+
+val costs : stage_costs
+(** The per-stage instruction budgets the simulation is calibrated
+    with; see DESIGN.md §6 for how they were chosen. *)
 
 (** Batching degrees at each pipeline boundary (§3.4): how many units
     amortize one fixed cost. All 1 (the default) preserves today's
@@ -189,7 +193,6 @@ type scope_mode = Scope_off | Scope_metrics | Scope_full
 type t = {
   params : Nfp.Params.t;
   parallelism : parallelism;
-  costs : stage_costs;
   rx_buf_bytes : int;
   tx_buf_bytes : int;
   mss : int;
@@ -205,22 +208,8 @@ type t = {
       (** Fixed window-scale shift assumed on both ends (no SYN
           negotiation is modelled); data-center defaults need windows
           larger than 64 KB. *)
-  rto : Sim.Time.t;
-      (** Control-plane retransmission timeout (initial value; the
-          per-connection timeout doubles on each consecutive timeout —
-          exponential backoff — and resets on forward progress). *)
-  rto_max : Sim.Time.t;  (** Backoff ceiling. *)
-  max_rto_retries : int;
-      (** Consecutive timeouts without progress before the control
-          plane aborts the connection and notifies the application. *)
   cc : congestion_control;
   cc_interval : Sim.Time.t;  (** Control-plane iteration interval. *)
-  wheel_slot : Sim.Time.t;  (** Carousel time-wheel slot granularity. *)
-  wheel_slots : int;  (** Time-wheel horizon, in slots. *)
-  libtoe_poll : Sim.Time.t;  (** libTOE context-queue polling period. *)
-  sockets_api_cycles : int;
-      (** Host cycles charged per socket call (Table 1: 0.74 kc per
-          request covers send+recv+poll). *)
   notify_cycles : int;  (** Host cycles to consume one ARX entry. *)
   san : bool;
       (** Enable the FlexSan dynamic sanitizer (layer 2): instrument
@@ -240,9 +229,6 @@ type t = {
   batch : batch;
       (** Pipeline-boundary batching degrees ({!batch_none} by
           default). *)
-  batch_delay : Sim.Time.t;
-      (** How long a partial batch (GRO window, doorbell ring, ARX
-          accumulator) may be held before a timer flushes it. *)
   guard : guard;
       (** FlexGuard overload control ({!guard_none} by default). *)
   scale : scale;
@@ -259,6 +245,37 @@ val default : t
     {!guard_default}). *)
 
 val with_parallelism : t -> parallelism -> t
+
+(** Protocol and host constants. *)
+
+val rto : Sim.Time.t
+(** Control-plane retransmission timeout (initial value; the
+    per-connection timeout doubles on each consecutive timeout —
+    exponential backoff — and resets on forward progress). *)
+
+val rto_max : Sim.Time.t
+(** Backoff ceiling of {!rto}. *)
+
+val max_rto_retries : int
+(** Consecutive timeouts without progress before the control plane
+    aborts the connection and notifies the application. *)
+
+val wheel_slot : Sim.Time.t
+(** Carousel time-wheel slot granularity. *)
+
+val wheel_slots : int
+(** Time-wheel horizon, in slots. *)
+
+val libtoe_poll : Sim.Time.t
+(** libTOE context-queue polling period. *)
+
+val sockets_api_cycles : int
+(** Host cycles charged per socket call (Table 1: 0.74 kc per request
+    covers send+recv+poll). *)
+
+val batch_delay : Sim.Time.t
+(** How long a partial batch (GRO window, doorbell ring, ARX
+    accumulator) may be held before a timer flushes it. *)
 
 (** Table 3 presets, cumulative left to right. *)
 

@@ -160,7 +160,7 @@ let finalize t ?remote_win (p : pending) k =
           cf_acc_fretx = 0;
           cf_last_decision = Sim.Engine.now t.engine;
           cf_closing = false;
-          cf_rto = t.cfg.Config.rto;
+          cf_rto = Config.rto;
           cf_retries = 0;
         };
       Tcp.Flow.Tbl.remove t.pending p.p_flow;
@@ -687,7 +687,7 @@ let iterate_flow t now (f : cc_flow) =
   f.cf_acc_fretx <- f.cf_acc_fretx + st.Datapath.fretx;
   (* Forward progress re-arms the timeout at its base value. *)
   if st.Datapath.ackb > 0 then begin
-    f.cf_rto <- t.cfg.Config.rto;
+    f.cf_rto <- Config.rto;
     f.cf_retries <- 0
   end;
   (* Retransmission timeout monitoring (§3.4): only data actually in
@@ -701,7 +701,7 @@ let iterate_flow t now (f : cc_flow) =
       st.Datapath.tx_inflight > 0
       && now - st.Datapath.last_progress > f.cf_rto
     then
-      if f.cf_retries >= t.cfg.Config.max_rto_retries then begin
+      if f.cf_retries >= Config.max_rto_retries then begin
         t.rto_aborts <- t.rto_aborts + 1;
         Datapath.notify_abort t.dp ~conn:f.cf_conn;
         forget_flow t ~conn:f.cf_conn;
@@ -714,7 +714,7 @@ let iterate_flow t now (f : cc_flow) =
           { Meta.h_conn = f.cf_conn; h_op = Meta.Retransmit };
         f.cf_acc_fretx <- f.cf_acc_fretx + 1;
         f.cf_retries <- f.cf_retries + 1;
-        f.cf_rto <- min (2 * f.cf_rto) t.cfg.Config.rto_max;
+        f.cf_rto <- min (2 * f.cf_rto) Config.rto_max;
         false
       end
     else false

@@ -1,5 +1,8 @@
 module S = Tcp.Segment
 
+(* The stage cost model, in FPC cycles (DESIGN.md §6). *)
+let c = Config.costs
+
 type xdp_action =
   | Xdp_pass of S.frame
   | Xdp_drop
@@ -384,7 +387,7 @@ let trace_cycles t group =
     let pts = trace_group_points t group in
     let n = ref 0 in
     Array.iter (fun p -> if Sim.Trace.enabled p then incr n) pts;
-    !n * t.cfg.Config.costs.Config.tracepoint
+    !n * c.Config.tracepoint
   end
 
 (* Record a semantic event on one named tracepoint (counts only when
@@ -542,7 +545,6 @@ let proto_state_phases t conn_state =
 
 let preproc_lookup_phases t hash =
   let open Nfp.Fpc in
-  let c = t.cfg.Config.costs in
   if Nfp.Direct_cache.access t.pre_lookup_cache hash then
     [ Compute c.Config.preproc_lookup_hit ]
   else [ Mem Nfp.Memory.Imem; Compute c.Config.preproc_lookup_hit ]
@@ -649,29 +651,49 @@ let set_arx_handler t ~ctx f = t.arx_handlers.(ctx) <- f
 
 let dma_engine t = t.dma
 
-(* The context-queue stage DMAs the descriptor into the host ring;
-   libTOE sees it one polling period later. [range] is the stretch of
-   the RX payload buffer the notification makes readable — the bytes
-   the handler (and the application behind it) will touch, so the
-   sanitizer checks them against the payload DMA's writes. *)
-let notify_libtoe_now t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
+(* Close the RX lifecycles a delivery hands to the host. *)
+let rec arx_close_rx t conn_idx = function
+  | [] -> ()
+  | g :: rest ->
+      sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx ~arg:g;
+      if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g;
+      arx_close_rx t conn_idx rest
+
+(* ARX delivery: the context-queue stage DMAs one descriptor into the
+   host ring; libTOE sees it one polling period later. One delivery
+   stands in for [count] notifications: the fixed descriptor cost is
+   paid once plus [notify_coalesce] per absorbed one, so [count = 1]
+   is the unbatched path. [gseqs] are the RX lifecycles it closes;
+   [ranges] are the stretches of the RX payload buffer it makes
+   readable — the bytes the handler (and the application behind it)
+   will touch, so the sanitizer checks them against the payload DMA's
+   writes; [tokens] are the happens-before tokens of coalesced
+   notifications, captured in their payload-DMA completion contexts
+   and joined before the host reads, so a coalesced delivery keeps
+   each payload-write -> host-read edge of the unbatched path. *)
+let arx_deliver t cs ~count ~span_id ~gseqs ~ranges ~tokens
+    (desc : Meta.arx_desc) =
   let conn_idx = cs.Conn_state.idx in
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-  let c = t.cfg.Config.costs in
-  let extra = trace_cycles t "ctx" in
+  let cycles =
+    c.Config.ctx_desc
+    + ((count - 1) * c.Config.notify_coalesce)
+    + trace_cycles t "ctx"
+  in
   let deliver ~join () =
-    sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx ~arg:gseq;
-    if gseq >= 0 then sc_seg_end t ~track:"seg_rx" ~id:gseq;
+    arx_close_rx t conn_idx gseqs;
     match t.san with
     | None -> t.arx_handlers.(ctx) desc
     | Some s ->
         San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join (fun () ->
-            (match range with
-            | Some (off, len) when len > 0 ->
-                San.access s ~stage:"ctx" ~flow:conn_idx
-                  ~obj:Effects.Rx_payload ~range:(off, len) Effects.Read
-            | _ -> ());
+            List.iter (fun tok -> San.token_join s tok) tokens;
+            List.iter
+              (fun (off, len) ->
+                if len > 0 then
+                  San.access s ~stage:"ctx" ~flow:conn_idx
+                    ~obj:Effects.Rx_payload ~range:(off, len) Effects.Read)
+              ranges;
             t.arx_handlers.(ctx) desc;
             (* The app can only return RX-buffer credit for bytes it
                was notified of: publish the delivery so the Rx_credit
@@ -680,45 +702,36 @@ let notify_libtoe_now t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
                read. *)
             San.chan_send s ("arx#" ^ string_of_int conn_idx))
   in
-  Nfp.Fpc.submit fpc
-    [ Compute (c.Config.ctx_desc + extra) ]
-    (sc_span t ~stage:"ctx" ~conn:conn_idx ~id:gseq
-       ~cycles:(c.Config.ctx_desc + extra) (fun () ->
-      sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring Effects.Write;
-      if t.sabotage.sb_skip_notify_dma then
-        (* Sabotage: hand the descriptor to the host without the DMA
-           completion edge — the poll delay still elapses, but nothing
-           orders the handler after the payload write. *)
-        Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll (fun () ->
-            deliver ~join:None ())
-      else
-        Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
-            let join =
-              match t.san with
-              | Some s -> Some (San.token_send s)
-              | None -> None
-            in
-            Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll (fun () ->
-                deliver ~join ()))))
+  Nfp.Fpc.submit fpc [ Compute cycles ]
+    (sc_span t ~stage:"ctx" ~conn:conn_idx ~id:span_id ~cycles (fun () ->
+         sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring Effects.Write;
+         if t.sabotage.sb_skip_notify_dma then
+           (* Sabotage: hand the descriptor to the host without the DMA
+              completion edge — the poll delay still elapses, but
+              nothing orders the handler after the payload write. *)
+           Sim.Engine.schedule t.engine Config.libtoe_poll (fun () ->
+               deliver ~join:None ())
+         else
+           Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
+               let join =
+                 match t.san with
+                 | Some s -> Some (San.token_send s)
+                 | None -> None
+               in
+               Sim.Engine.schedule t.engine Config.libtoe_poll (fun () ->
+                   deliver ~join ()))))
 
-(* Flush one connection's ARX accumulator: one context-queue descriptor,
-   one 32B DMA and one host wakeup stand in for [aa_count] of each.
-   The fixed descriptor cost is paid once plus [notify_coalesce] per
-   absorbed notification; byte counts were summed at accumulation.
-   Every absorbed notification's sanitizer token (captured in its
-   payload-DMA completion context) is joined before the host reads, so
-   the coalesced delivery keeps each payload-write -> host-read
-   happens-before edge of the unbatched path. *)
+(* Flush one connection's ARX accumulator as a single delivery; byte
+   counts were summed at accumulation. *)
 let arx_flush t acc =
   if not acc.aa_flushed then begin
     acc.aa_flushed <- true;
     Hashtbl.remove t.arx_pending acc.aa_conn;
-    let conn_idx = acc.aa_conn in
     let gseqs = List.rev acc.aa_gseqs in
     (match t.scope with
     | Some sc -> Sim.Scope.record sc "batch/arx/coalesced" acc.aa_count
     | None -> ());
-    match conn t conn_idx with
+    match conn t acc.aa_conn with
     | None ->
         (* Torn down with a window pending: nothing to notify, but the
            RX lifecycles must still close. *)
@@ -726,7 +739,8 @@ let arx_flush t acc =
           (fun g -> if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
           gseqs
     | Some cs ->
-        let desc =
+        arx_deliver t cs ~count:acc.aa_count ~span_id:(-1) ~gseqs
+          ~ranges:(List.rev acc.aa_ranges) ~tokens:(List.rev acc.aa_tokens)
           {
             Meta.x_opaque = acc.aa_opaque;
             x_rx_bytes = acc.aa_rx;
@@ -734,53 +748,6 @@ let arx_flush t acc =
             x_fin = acc.aa_fin;
             x_err = false;
           }
-        in
-        let ranges = List.rev acc.aa_ranges in
-        let tokens = List.rev acc.aa_tokens in
-        let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
-        let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-        let c = t.cfg.Config.costs in
-        let extra = trace_cycles t "ctx" in
-        let cycles =
-          c.Config.ctx_desc
-          + ((acc.aa_count - 1) * c.Config.notify_coalesce)
-          + extra
-        in
-        let deliver ~join () =
-          List.iter
-            (fun g ->
-              sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx
-                ~arg:g;
-              if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
-            gseqs;
-          match t.san with
-          | None -> t.arx_handlers.(ctx) desc
-          | Some s ->
-              San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join
-                (fun () ->
-                  List.iter (fun tok -> San.token_join s tok) tokens;
-                  List.iter
-                    (fun (off, len) ->
-                      if len > 0 then
-                        San.access s ~stage:"ctx" ~flow:conn_idx
-                          ~obj:Effects.Rx_payload ~range:(off, len)
-                          Effects.Read)
-                    ranges;
-                  t.arx_handlers.(ctx) desc;
-                  San.chan_send s ("arx#" ^ string_of_int conn_idx))
-        in
-        Nfp.Fpc.submit fpc [ Compute cycles ]
-          (sc_span t ~stage:"ctx" ~conn:conn_idx ~id:(-1) ~cycles (fun () ->
-               sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring
-                 Effects.Write;
-               Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
-                   let join =
-                     match t.san with
-                     | Some s -> Some (San.token_send s)
-                     | None -> None
-                   in
-                   Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll
-                     (fun () -> deliver ~join ()))))
   end
 
 (* Notification entry point. At [b_notify = 1] (or for error
@@ -797,7 +764,9 @@ let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
        match Hashtbl.find_opt t.arx_pending conn_idx with
        | Some acc -> arx_flush t acc
        | None -> ());
-    notify_libtoe_now t ?range ~gseq cs desc
+    arx_deliver t cs ~count:1 ~span_id:gseq ~gseqs:[ gseq ]
+      ~ranges:(match range with Some r -> [ r ] | None -> [])
+      ~tokens:[] desc
   end
   else begin
     (* Capture the happens-before token in the issuing context (the
@@ -838,7 +807,7 @@ let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
         Hashtbl.replace t.arx_pending conn_idx acc;
         if acc.aa_fin then arx_flush t acc
         else
-          Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+          Sim.Engine.schedule t.engine Config.batch_delay (fun () ->
               arx_flush t acc)
   end
 
@@ -882,50 +851,15 @@ let build_ack_frame t cs (a : Meta.ack_info) =
   in
   S.make_frame ~src_mac:t.mac ~dst_mac:pre.Conn_state.peer_mac seg
 
-let nbi_emit_one t eg =
-  let frame =
-    match eg with
-    | Eg_data (d, payload) -> begin
-        match conn t d.Meta.t_conn with
-        | Some cs ->
-            sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
-              Effects.Read;
-            Some (build_data_frame t cs d payload)
-        | None -> None
-      end
-    | Eg_ack a -> begin
-        match conn t a.Meta.a_conn with
-        | Some cs ->
-            sa t ~stage:"nbi" ~flow:a.Meta.a_conn Effects.Conn_pre
-              Effects.Read;
-            Some (build_ack_frame t cs a)
-        | None -> None
-      end
-    | Eg_ctl f -> Some f
-  in
-  (match frame with
-  | Some f ->
-      (match t.capture with Some cap -> cap Dir_tx f | None -> ());
-      (match eg with
-      | Eg_data _ -> t.st_tx <- t.st_tx + 1
-      | Eg_ack _ -> t.st_tx_acks <- t.st_tx_acks + 1
-      | Eg_ctl _ -> ());
-      (match eg with
-      | Eg_data (d, _) -> sc_count t "nbi/tx_frames";
-          sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
-      | Eg_ack _ -> sc_count t "nbi/tx_acks"
-      | Eg_ctl _ -> sc_count t "nbi/tx_ctl");
-      Netsim.Fabric.transmit t.port f
-  | None -> (
-      (* Connection torn down before NBI: close the TX lifecycle or
-         the open-span table leaks. *)
-      match eg with
-      | Eg_data (d, _) -> sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
-      | _ -> ()));
-  (* A data segment's buffer (credit) frees on transmission. *)
-  match eg with
-  | Eg_data _ -> Scheduler.credit_return t.sch
-  | Eg_ack _ | Eg_ctl _ -> ()
+(* One frame out through the NBI, past the tcpdump tap. *)
+let nbi_out t counter f =
+  (match t.capture with Some cap -> cap Dir_tx f | None -> ());
+  sc_count t counter;
+  Netsim.Fabric.transmit t.port f
+
+let nbi_out_data t f =
+  t.st_tx <- t.st_tx + 1;
+  nbi_out t "nbi/tx_frames" f
 
 (* TSO (§3.4): a descriptor wider than one MSS — only producible at
    [b_tso > 1], where the protocol stage emits up to [b_tso * mss] per
@@ -933,33 +867,55 @@ let nbi_emit_one t eg =
    boundary. One egress slot, one credit, [split_count] frames. *)
 let nbi_emit t eg =
   match eg with
-  | Eg_data (d, payload)
-    when Bytes.length payload > t.cfg.Config.mss -> begin
-      match conn t d.Meta.t_conn with
-      | None -> nbi_emit_one t eg  (* teardown: the one-frame path
-                                      already closes the lifecycle *)
+  | Eg_data (d, payload) ->
+      (match conn t d.Meta.t_conn with
       | Some cs ->
           sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
             Effects.Read;
-          let chunks =
-            Coalesce.split_desc ~mss:t.cfg.Config.mss d payload
-          in
-          (match t.scope with
-          | Some sc ->
-              Sim.Scope.record sc "batch/tso/frames" (List.length chunks)
-          | None -> ());
-          List.iter
-            (fun (dc, chunk) ->
-              let f = build_data_frame t cs dc chunk in
-              (match t.capture with Some cap -> cap Dir_tx f | None -> ());
-              t.st_tx <- t.st_tx + 1;
-              sc_count t "nbi/tx_frames";
-              Netsim.Fabric.transmit t.port f)
-            chunks;
-          sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
-          Scheduler.credit_return t.sch
-    end
-  | _ -> nbi_emit_one t eg
+          if Bytes.length payload > t.cfg.Config.mss then begin
+            let chunks =
+              Coalesce.split_desc ~mss:t.cfg.Config.mss d payload
+            in
+            (match t.scope with
+            | Some sc ->
+                Sim.Scope.record sc "batch/tso/frames" (List.length chunks)
+            | None -> ());
+            List.iter
+              (fun (dc, chunk) ->
+                nbi_out_data t (build_data_frame t cs dc chunk))
+              chunks
+          end
+          else nbi_out_data t (build_data_frame t cs d payload)
+      | None -> ());
+      (* Closed even when the connection was torn down before the
+         NBI, or the open-span table leaks. A data segment's buffer
+         (credit) frees on transmission. *)
+      sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
+      Scheduler.credit_return t.sch
+  | Eg_ack a -> (
+      match conn t a.Meta.a_conn with
+      | Some cs ->
+          sa t ~stage:"nbi" ~flow:a.Meta.a_conn Effects.Conn_pre
+            Effects.Read;
+          t.st_tx_acks <- t.st_tx_acks + 1;
+          nbi_out t "nbi/tx_acks" (build_ack_frame t cs a)
+      | None -> ())
+  | Eg_ctl f -> nbi_out t "nbi/tx_ctl" f
+
+(* --- TX slot release -------------------------------------------------- *)
+
+(* A TX dispatch that produced no segment: the flow sent nothing and
+   its segment-buffer credit comes back. *)
+let tx_idle t conn_idx =
+  Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
+  Scheduler.credit_return t.sch
+
+(* A TX segment whose connection was torn down mid-pipeline: its
+   egress sequence number must still be released or the whole TX
+   reorder stream stalls, and its lifecycle ends here. *)
+let tx_skip t gseq =
+  Sequencer.skip t.tx_gro ~seq:gseq;
+  sc_seg_end t ~track:"seg_tx" ~id:gseq
 
 (* --- DMA stage ------------------------------------------------------ *)
 
@@ -980,8 +936,19 @@ type dma_work = {
   dw_notify : Meta.arx_desc option;
 }
 
+(* Work that moves nothing; each caller fills in what it carries. *)
+let dma_none =
+  {
+    dw_conn = -1;
+    dw_gseq = -1;
+    dw_payload = None;
+    dw_readable = None;
+    dw_fetch = None;
+    dw_ack = None;
+    dw_notify = None;
+  }
+
 let dma_stage t (w : dma_work) =
-  let c = t.cfg.Config.costs in
   let fpc = next_dma_fpc t in
   let extra = trace_cycles t "dma" in
   (* Doorbell amortization: in batched mode the MMIO ring costs
@@ -1059,12 +1026,7 @@ let dma_stage t (w : dma_work) =
               Sequencer.submit t.tx_gro ~seq:desc.Meta.t_gseq
                 (Eg_data (desc, payload)))
       | None, Some (desc, _, _), None ->
-          (* The connection was torn down mid-pipeline: the egress
-             sequence number must still be released or the whole TX
-             reorder stream stalls, and the buffer credit must come
-             back. *)
-          Sequencer.skip t.tx_gro ~seq:desc.Meta.t_gseq;
-          sc_seg_end t ~track:"seg_tx" ~id:desc.Meta.t_gseq;
+          tx_skip t desc.Meta.t_gseq;
           Scheduler.credit_return t.sch;
           finish ()
       | _ -> finish ()))
@@ -1073,8 +1035,37 @@ let dma_stage t (w : dma_work) =
 
 let rtt_ewma old sample = if old = 0 then sample else ((7 * old) + sample) / 8
 
+(* The post-processor's RX bookkeeping, shared with the
+   run-to-completion baseline: congestion-control counters for the CP,
+   the RTT estimate, a TX wakeup when the segment reopened the window
+   or triggered a fast retransmit, and the ARX notification the
+   segment earns, if any. *)
+let post_rx_account t cs (v : Meta.rx_verdict) =
+  let post = cs.Conn_state.post in
+  post.Conn_state.cnt_ackb <- post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
+  post.Conn_state.cnt_ecnb <- post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
+  if v.Meta.v_fast_retx then begin
+    post.Conn_state.cnt_fretx <- post.Conn_state.cnt_fretx + 1;
+    t.st_fretx <- t.st_fretx + 1
+  end;
+  if v.Meta.v_rtt_sample_ns > 0 then
+    post.Conn_state.rtt_est_ns <-
+      rtt_ewma post.Conn_state.rtt_est_ns v.Meta.v_rtt_sample_ns;
+  if v.Meta.v_wake_tx || v.Meta.v_fast_retx then
+    Scheduler.wakeup t.sch ~conn:v.Meta.v_conn;
+  if v.Meta.v_rx_advance > 0 || v.Meta.v_tx_freed > 0 || v.Meta.v_fin_reached
+  then
+    Some
+      {
+        Meta.x_opaque = post.Conn_state.opaque;
+        x_rx_bytes = v.Meta.v_rx_advance;
+        x_tx_freed = v.Meta.v_tx_freed;
+        x_fin = v.Meta.v_fin_reached;
+        x_err = false;
+      }
+  else None
+
 let postproc_stage t fg (w : post_work) =
-  let c = t.cfg.Config.costs in
   let fpc = next_postproc t fg in
   let conn_idx =
     match w with
@@ -1127,10 +1118,8 @@ let postproc_stage t fg (w : post_work) =
           (* Connection vanished mid-pipeline: drop cleanly. *)
           match w with
           | Post_tx d ->
-              Sequencer.skip t.tx_gro ~seq:d.Meta.t_gseq;
-              sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
-              Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-              Scheduler.credit_return t.sch
+              tx_skip t d.Meta.t_gseq;
+              tx_idle t conn_idx
           | Post_rx v -> begin
               sc_seg_end t ~track:"seg_rx" ~id:v.Meta.v_gseq;
               match v.Meta.v_ack with
@@ -1146,36 +1135,7 @@ let postproc_stage t fg (w : post_work) =
               t.hc_descs_free <- t.hc_descs_free + 1
         end
       | Post_rx v, Some cs ->
-          let post = cs.Conn_state.post in
-          (* Stats step: congestion-control counters for the CP. *)
-          post.Conn_state.cnt_ackb <-
-            post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
-          post.Conn_state.cnt_ecnb <-
-            post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
-          if v.Meta.v_fast_retx then begin
-            post.Conn_state.cnt_fretx <- post.Conn_state.cnt_fretx + 1;
-            t.st_fretx <- t.st_fretx + 1
-          end;
-          if v.Meta.v_rtt_sample_ns > 0 then
-            post.Conn_state.rtt_est_ns <-
-              rtt_ewma post.Conn_state.rtt_est_ns v.Meta.v_rtt_sample_ns;
-          if v.Meta.v_wake_tx || v.Meta.v_fast_retx then
-            Scheduler.wakeup t.sch ~conn:conn_idx;
-          let notify =
-            if
-              v.Meta.v_rx_advance > 0 || v.Meta.v_tx_freed > 0
-              || v.Meta.v_fin_reached
-            then
-              Some
-                {
-                  Meta.x_opaque = post.Conn_state.opaque;
-                  x_rx_bytes = v.Meta.v_rx_advance;
-                  x_tx_freed = v.Meta.v_tx_freed;
-                  x_fin = v.Meta.v_fin_reached;
-                  x_err = false;
-                }
-            else None
-          in
+          let notify = post_rx_account t cs v in
           let readable =
             match v.Meta.v_place with
             | Some (pos, _) when v.Meta.v_rx_advance > 0 ->
@@ -1184,11 +1144,11 @@ let postproc_stage t fg (w : post_work) =
           in
           dma_stage t
             {
+              dma_none with
               dw_conn = conn_idx;
               dw_gseq = v.Meta.v_gseq;
               dw_payload = v.Meta.v_place;
               dw_readable = readable;
-              dw_fetch = None;
               dw_ack = v.Meta.v_ack;
               dw_notify = notify;
             }
@@ -1198,28 +1158,15 @@ let postproc_stage t fg (w : post_work) =
             ~more:d.Meta.t_more;
           dma_stage t
             {
+              dma_none with
               dw_conn = conn_idx;
-              dw_gseq = -1;
-              dw_payload = None;
-              dw_readable = None;
               dw_fetch = Some (d, d.Meta.t_pos, d.Meta.t_len);
-              dw_ack = None;
-              dw_notify = None;
             }
       | Post_hc (_, r), Some _ ->
           if r.Protocol.hc_wake_tx then Scheduler.wakeup t.sch ~conn:conn_idx;
           (match r.Protocol.hc_window_update with
           | Some a ->
-              dma_stage t
-                {
-                  dw_conn = conn_idx;
-                  dw_gseq = -1;
-                  dw_payload = None;
-                  dw_readable = None;
-                  dw_fetch = None;
-                  dw_ack = Some a;
-                  dw_notify = None;
-                }
+              dma_stage t { dma_none with dw_conn = conn_idx; dw_ack = Some a }
           | None -> ());
           t.hc_descs_free <- t.hc_descs_free + 1))
 
@@ -1240,8 +1187,10 @@ let proto_span_begin t conn_idx =
       San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Conn_proto
         Effects.Read
 
-let proto_writeback t conn_idx ~reasm =
-  match t.san with
+(* The end of the critical section: the state writeback, then the lock
+   release (unless [sb_early_release] already dropped it). *)
+let proto_writeback t conn_idx ~reasm ~early =
+  (match t.san with
   | None -> ()
   | Some s ->
       San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Conn_proto
@@ -1252,109 +1201,81 @@ let proto_writeback t conn_idx ~reasm =
         San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Reasm
           Effects.Write
       end;
-      San.span_end s ~stage:"protocol" ~flow:conn_idx
+      San.span_end s ~stage:"protocol" ~flow:conn_idx);
+  if not early then release t conn_idx
 
-let protocol_rx t (s : Meta.rx_summary) =
-  match conn t s.Meta.conn with
-  | None -> ()
-  | Some cs ->
-      let fg = cs.Conn_state.pre.Conn_state.flow_group in
-      acquire t s.Meta.conn (fun () ->
-          proto_span_begin t s.Meta.conn;
-          (* Sabotage: drop the lock before the critical section
-             instead of after — the classic too-early unlock. *)
-          let early = t.sabotage.sb_early_release in
-          if early then release t s.Meta.conn;
-          let phases = proto_state_phases t cs in
-          let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" in
-          let cost =
-            if Bytes.length s.Meta.payload = 0 && not s.Meta.fin then
-              c.Config.protocol_rx_ack
-            else c.Config.protocol_rx
-          in
-          Nfp.Fpc.submit (proto_fpc_for t cs)
-            (phases @ [ Compute (cost + extra) ])
-            (sc_span t ~stage:"protocol" ~conn:s.Meta.conn ~id:s.Meta.rx_gseq
-               ~cycles:(cost + extra) (fun () ->
-                 let v =
-                   Protocol.rx t.cfg ~now:(Sim.Engine.now t.engine) cs s
-                     ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
-                 in
-                 proto_writeback t s.Meta.conn ~reasm:true;
-                 if not early then release t s.Meta.conn;
-                 trace_rx_verdict t v;
-                 postproc_stage t fg (Post_rx v))))
+(* Work for the protocol stage: an RX segment summary, a TX dispatch
+   from the scheduler, or a host-control descriptor. *)
+type proto_work = P_rx of Meta.rx_summary | P_tx | P_hc of Meta.hc_desc
 
-let protocol_tx t ~conn:conn_idx =
+(* The protocol stage: under the connection's lock, fetch the
+   flow's protocol state through the cache hierarchy, run the TCP step
+   for [work], write the state back and hand the result to the
+   post-processor of the flow's group. *)
+let protocol_stage t conn_idx work =
   match conn t conn_idx with
-  | None ->
-      Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-      Scheduler.credit_return t.sch
-  | Some cs ->
-      let fg = cs.Conn_state.pre.Conn_state.flow_group in
-      acquire t conn_idx (fun () ->
-          proto_span_begin t conn_idx;
-          let early = t.sabotage.sb_early_release in
-          if early then release t conn_idx;
-          let phases = proto_state_phases t cs in
-          let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" in
-          ignore fg;
-          Nfp.Fpc.submit (proto_fpc_for t cs)
-            (phases @ [ Compute (c.Config.protocol_tx + extra) ])
-            (sc_span t ~stage:"protocol" ~conn:conn_idx ~id:(-1)
-               ~cycles:(c.Config.protocol_tx + extra) (fun () ->
-                 let d =
-                   Protocol.tx t.cfg ~now:(Sim.Engine.now t.engine) cs
-                     ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
-                 in
-                 proto_writeback t conn_idx ~reasm:false;
-                 if not early then release t conn_idx;
-                 match d with
-                 | Some d ->
-                     trace_event t "protocol" "tx_seg";
-                     sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx
-                       ~id:d.Meta.t_gseq;
-                     postproc_stage t fg (Post_tx d)
-                 | None ->
-                     Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0
-                       ~more:false;
-                     Scheduler.credit_return t.sch)))
-
-let protocol_hc t (d : Meta.hc_desc) =
-  match conn t d.Meta.h_conn with
-  | None -> t.hc_descs_free <- t.hc_descs_free + 1
   | Some cs ->
       let fg = cs.Conn_state.pre.Conn_state.flow_group in
       (* A credit doorbell is the host's "I consumed those bytes"
          edge: join the deliveries it follows, so the window advance
          it enables (and any buffer-position reuse behind it) is
          ordered after the host's reads. *)
-      (match (t.san, d.Meta.h_op) with
-      | Some s, Meta.Rx_credit _ ->
-          San.chan_recv s ("arx#" ^ string_of_int d.Meta.h_conn)
+      (match (t.san, work) with
+      | Some s, P_hc { Meta.h_op = Meta.Rx_credit _; _ } ->
+          San.chan_recv s ("arx#" ^ string_of_int conn_idx)
       | _ -> ());
-      acquire t d.Meta.h_conn (fun () ->
-          proto_span_begin t d.Meta.h_conn;
+      acquire t conn_idx (fun () ->
+          proto_span_begin t conn_idx;
+          (* Sabotage: drop the lock before the critical section
+             instead of after — the classic too-early unlock. *)
           let early = t.sabotage.sb_early_release in
-          if early then release t d.Meta.h_conn;
+          if early then release t conn_idx;
           let phases = proto_state_phases t cs in
-          let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" in
-          ignore fg;
+          let cycles =
+            trace_cycles t "protocol"
+            +
+            match work with
+            | P_rx s when Bytes.length s.Meta.payload = 0 && not s.Meta.fin
+              ->
+                c.Config.protocol_rx_ack
+            | P_rx _ -> c.Config.protocol_rx
+            | P_tx -> c.Config.protocol_tx
+            | P_hc _ -> c.Config.protocol_hc
+          in
+          let id = match work with P_rx s -> s.Meta.rx_gseq | _ -> -1 in
           Nfp.Fpc.submit (proto_fpc_for t cs)
-            (phases @ [ Compute (c.Config.protocol_hc + extra) ])
-            (sc_span t ~stage:"protocol" ~conn:d.Meta.h_conn ~id:(-1)
-               ~cycles:(c.Config.protocol_hc + extra) (fun () ->
-                 let r =
-                   Protocol.hc t.cfg ~now:(Sim.Engine.now t.engine) cs
-                     d.Meta.h_op ~alloc_gseq:(fun () ->
-                       Sequencer.next_seq t.tx_gro)
-                 in
-                 proto_writeback t d.Meta.h_conn ~reasm:false;
-                 if not early then release t d.Meta.h_conn;
-                 postproc_stage t fg (Post_hc (d.Meta.h_conn, r)))))
+            (phases @ [ Compute cycles ])
+            (sc_span t ~stage:"protocol" ~conn:conn_idx ~id ~cycles (fun () ->
+                 let now = Sim.Engine.now t.engine in
+                 let alloc_gseq () = Sequencer.next_seq t.tx_gro in
+                 match work with
+                 | P_rx s ->
+                     let v = Protocol.rx t.cfg ~now cs s ~alloc_gseq in
+                     proto_writeback t conn_idx ~reasm:true ~early;
+                     trace_rx_verdict t v;
+                     postproc_stage t fg (Post_rx v)
+                 | P_tx -> (
+                     let d = Protocol.tx t.cfg ~now cs ~alloc_gseq in
+                     proto_writeback t conn_idx ~reasm:false ~early;
+                     match d with
+                     | Some d ->
+                         trace_event t "protocol" "tx_seg";
+                         sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx
+                           ~id:d.Meta.t_gseq;
+                         postproc_stage t fg (Post_tx d)
+                     | None -> tx_idle t conn_idx)
+                 | P_hc d ->
+                     let r =
+                       Protocol.hc t.cfg ~now cs d.Meta.h_op ~alloc_gseq
+                     in
+                     proto_writeback t conn_idx ~reasm:false ~early;
+                     postproc_stage t fg (Post_hc (conn_idx, r)))))
+  | None -> (
+      (* The connection is gone: give back what the work held. *)
+      match work with
+      | P_rx _ -> ()
+      | P_tx -> tx_idle t conn_idx
+      | P_hc _ -> t.hc_descs_free <- t.hc_descs_free + 1)
 
 (* --- GRO (RX reorder point) ----------------------------------------- *)
 
@@ -1362,7 +1283,6 @@ let protocol_hc t (d : Meta.hc_desc) =
    is the number of wire segments it carries: the sequencer cost is
    paid once per descriptor, plus [gro_merge] per absorbed segment. *)
 let gro_submit t ~merged (s : Meta.rx_summary) =
-  let c = t.cfg.Config.costs in
   let extra = trace_cycles t "gro" in
   let cycles =
     c.Config.sequencer + extra + ((merged - 1) * c.Config.gro_merge)
@@ -1370,7 +1290,7 @@ let gro_submit t ~merged (s : Meta.rx_summary) =
   Nfp.Fpc.submit t.gro_fpc
     [ Compute cycles ]
     (sc_span t ~stage:"gro" ~conn:s.Meta.conn ~id:s.Meta.rx_gseq
-       ~cycles (fun () -> protocol_rx t s))
+       ~cycles (fun () -> protocol_stage t s.Meta.conn (P_rx s)))
 
 (* Flush a connection's GRO window: merge the accumulated run into one
    descriptor carrying the head's identity. Absorbed segments' RX
@@ -1430,7 +1350,7 @@ let gro_release t (s : Meta.rx_summary) =
             }
           in
           Hashtbl.replace t.gro_pending s.Meta.conn acc;
-          Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+          Sim.Engine.schedule t.engine Config.batch_delay (fun () ->
               gro_flush t acc)
         end
   end
@@ -1444,7 +1364,6 @@ let forward_to_control t frame =
       t.cp_pending <- t.cp_pending + 1;
       Guard.note_depth g ~stage:"cp" t.cp_pending
   | None -> ());
-  let c = t.cfg.Config.costs in
   let fpc = t.ctx_fpcs.(0) in
   Nfp.Fpc.submit fpc
     [ Compute c.Config.ctx_desc ]
@@ -1458,11 +1377,36 @@ let forward_to_control t frame =
 (* Checksum verification cost: driving the CRC/checksum unit has a
    fixed overhead plus a per-16B streaming component over the frame
    (the NFP checksums at near line rate). *)
-let csum_cycles t frame =
-  t.cfg.Config.costs.Config.preproc_csum + (S.frame_wire_len frame / 16)
+let csum_cycles frame =
+  c.Config.preproc_csum + (S.frame_wire_len frame / 16)
+
+(* Only plain data-path segments stay on the NIC; control segments and
+   VLAN-tagged frames go to the control plane. *)
+let data_path_frame (frame : S.frame) =
+  S.data_path_flags frame.S.seg.S.flags && frame.S.vlan = None
+
+(* The pre-processor's segment summary: the header fields the protocol
+   stage consumes. *)
+let summary_of_frame t ~gseq ~conn (frame : S.frame) =
+  let seg = frame.S.seg in
+  {
+    Meta.rx_gseq = gseq;
+    conn;
+    seq = seg.S.seq;
+    ack_seq = seg.S.ack_seq;
+    has_ack = seg.S.flags.S.ack;
+    wnd = seg.S.window;
+    payload = seg.S.payload;
+    fin = seg.S.flags.S.fin;
+    psh = seg.S.flags.S.psh;
+    ece = seg.S.flags.S.ece;
+    cwr = seg.S.flags.S.cwr;
+    ecn_ce = frame.S.ecn = S.Ce;
+    ts = seg.S.options.S.ts;
+    arrival = Sim.Engine.now t.engine;
+  }
 
 let preproc_rx t gseq (frame : S.frame) =
-  let c = t.cfg.Config.costs in
   let seg = frame.S.seg in
   let flow = Tcp.Flow.of_segment_rx seg in
   let hash = Tcp.Flow.hash flow in
@@ -1472,14 +1416,14 @@ let preproc_rx t gseq (frame : S.frame) =
   in
   let extra = trace_cycles t "preproc" in
   let span_cycles =
-    c.Config.preproc_validate + csum_cycles t frame + capture_extra + extra
+    c.Config.preproc_validate + csum_cycles frame + capture_extra + extra
     + c.Config.preproc_lookup_hit + c.Config.preproc_summary
   in
   let fpc = next_preproc t in
   Nfp.Fpc.submit fpc
     ([
        Nfp.Fpc.Compute
-         (c.Config.preproc_validate + csum_cycles t frame + capture_extra
+         (c.Config.preproc_validate + csum_cycles frame + capture_extra
         + extra);
      ]
     @ lookup_phases
@@ -1507,30 +1451,10 @@ let preproc_rx t gseq (frame : S.frame) =
       | Some idx, true ->
           sa t ~stage:"preproc" ~flow:idx Effects.Conn_proto Effects.Read
       | _ -> ());
-      let datapath_ok =
-        S.data_path_flags seg.S.flags && frame.S.vlan = None
-      in
       match conn_idx with
-      | Some idx when datapath_ok ->
-          let summary =
-            {
-              Meta.rx_gseq = gseq;
-              conn = idx;
-              seq = seg.S.seq;
-              ack_seq = seg.S.ack_seq;
-              has_ack = seg.S.flags.S.ack;
-              wnd = seg.S.window;
-              payload = seg.S.payload;
-              fin = seg.S.flags.S.fin;
-              psh = seg.S.flags.S.psh;
-              ece = seg.S.flags.S.ece;
-              cwr = seg.S.flags.S.cwr;
-              ecn_ce = frame.S.ecn = S.Ce;
-              ts = seg.S.options.S.ts;
-              arrival = Sim.Engine.now t.engine;
-            }
-          in
-          Sequencer.submit t.rx_gro ~seq:gseq summary
+      | Some idx when data_path_frame frame ->
+          Sequencer.submit t.rx_gro ~seq:gseq
+            (summary_of_frame t ~gseq ~conn:idx frame)
       | _ ->
           (* Control segment, VLAN-tagged, or unknown connection. *)
           sc_count t "preproc/to_control";
@@ -1549,7 +1473,6 @@ let rtc_pcie_sleep t bytes =
   Nfp.Fpc.Sleep (p.Nfp.Params.pcie_base_latency + ser)
 
 let rtc_rx t (frame : S.frame) =
-  let c = t.cfg.Config.costs in
   let seg = frame.S.seg in
   let flow = Tcp.Flow.of_segment_rx seg in
   let hash = Tcp.Flow.hash flow in
@@ -1557,7 +1480,7 @@ let rtc_rx t (frame : S.frame) =
   let phases =
     [
       Nfp.Fpc.Compute
-        (c.Config.preproc_validate + csum_cycles t frame
+        (c.Config.preproc_validate + csum_cycles frame
        + c.Config.preproc_lookup_hit + c.Config.preproc_summary
        + c.Config.protocol_rx + c.Config.postproc_rx + c.Config.dma_desc
        + c.Config.ctx_desc);
@@ -1574,60 +1497,22 @@ let rtc_rx t (frame : S.frame) =
         t.st_drop_csum <- t.st_drop_csum + 1
       else
       match Nfp.Lookup.lookup t.conn_db ~hash flow with
-      | Some idx when S.data_path_flags seg.S.flags -> begin
+      | Some idx when data_path_frame frame -> begin
           match conn t idx with
           | None -> forward_to_control t frame
           | Some cs ->
-              let summary =
-                {
-                  Meta.rx_gseq = 0;
-                  conn = idx;
-                  seq = seg.S.seq;
-                  ack_seq = seg.S.ack_seq;
-                  has_ack = seg.S.flags.S.ack;
-                  wnd = seg.S.window;
-                  payload = seg.S.payload;
-                  fin = seg.S.flags.S.fin;
-                  psh = seg.S.flags.S.psh;
-                  ece = seg.S.flags.S.ece;
-                  cwr = seg.S.flags.S.cwr;
-                  ecn_ce = frame.S.ecn = S.Ce;
-                  ts = seg.S.options.S.ts;
-                  arrival = Sim.Engine.now t.engine;
-                }
-              in
               let v =
-                Protocol.rx t.cfg ~now:(Sim.Engine.now t.engine) cs summary
+                Protocol.rx t.cfg ~now:(Sim.Engine.now t.engine) cs
+                  (summary_of_frame t ~gseq:0 ~conn:idx frame)
                   ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
               in
-              let post = cs.Conn_state.post in
-              post.Conn_state.cnt_ackb <-
-                post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
-              post.Conn_state.cnt_ecnb <-
-                post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
-              if v.Meta.v_fast_retx then t.st_fretx <- t.st_fretx + 1;
-              if v.Meta.v_rtt_sample_ns > 0 then
-                post.Conn_state.rtt_est_ns <-
-                  rtt_ewma post.Conn_state.rtt_est_ns v.Meta.v_rtt_sample_ns;
+              let notify = post_rx_account t cs v in
               (match v.Meta.v_place with
               | Some (pos, bytes) ->
-                  Host.Payload_buf.write post.Conn_state.rx_buf ~off:pos
-                    ~src:bytes ~src_off:0 ~len:(Bytes.length bytes)
+                  Host.Payload_buf.write cs.Conn_state.post.Conn_state.rx_buf
+                    ~off:pos ~src:bytes ~src_off:0 ~len:(Bytes.length bytes)
               | None -> ());
-              if v.Meta.v_wake_tx || v.Meta.v_fast_retx then
-                Scheduler.wakeup t.sch ~conn:idx;
-              if
-                v.Meta.v_rx_advance > 0 || v.Meta.v_tx_freed > 0
-                || v.Meta.v_fin_reached
-              then
-                notify_libtoe t cs
-                  {
-                    Meta.x_opaque = post.Conn_state.opaque;
-                    x_rx_bytes = v.Meta.v_rx_advance;
-                    x_tx_freed = v.Meta.v_tx_freed;
-                    x_fin = v.Meta.v_fin_reached;
-                    x_err = false;
-                  };
+              (match notify with Some d -> notify_libtoe t cs d | None -> ());
               match v.Meta.v_ack with
               | Some a ->
                   Sequencer.submit t.tx_gro ~seq:a.Meta.a_gseq (Eg_ack a)
@@ -1636,7 +1521,6 @@ let rtc_rx t (frame : S.frame) =
       | _ -> forward_to_control t frame)
 
 let rtc_tx t ~conn:conn_idx =
-  let c = t.cfg.Config.costs in
   let phases =
     [
       Nfp.Fpc.Compute
@@ -1650,18 +1534,14 @@ let rtc_tx t ~conn:conn_idx =
   in
   Nfp.Fpc.submit t.rtc_fpc phases (fun () ->
       match conn t conn_idx with
-      | None ->
-          Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-          Scheduler.credit_return t.sch
+      | None -> tx_idle t conn_idx
       | Some cs -> begin
           let d =
             Protocol.tx t.cfg ~now:(Sim.Engine.now t.engine) cs
               ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
           in
           match d with
-          | None ->
-              Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-              Scheduler.credit_return t.sch
+          | None -> tx_idle t conn_idx
           | Some d ->
               Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:d.Meta.t_len
                 ~more:d.Meta.t_more;
@@ -1676,7 +1556,6 @@ let rtc_tx t ~conn:conn_idx =
         end)
 
 let rtc_hc t (d : Meta.hc_desc) =
-  let c = t.cfg.Config.costs in
   let phases =
     [
       Nfp.Fpc.Compute
@@ -1740,8 +1619,7 @@ let rx_frame t frame =
       (* XDP modules run on the islands' spare FPCs, before the
          data-path pipeline; FlexTOE re-sequences afterwards (§3.3). *)
       let cycles, action = hook.xdp_run frame in
-      let c = t.cfg.Config.costs in
-      let fpc =
+          let fpc =
         t.xdp_fpcs.(t.st_rx mod Array.length t.xdp_fpcs)
       in
       Nfp.Fpc.submit fpc
@@ -1760,8 +1638,7 @@ let rx_frame t frame =
 let dispatch_tx t ~conn:conn_idx =
   if not (pipelined t) then rtc_tx t ~conn:conn_idx
   else begin
-    let c = t.cfg.Config.costs in
-    let extra = trace_cycles t "sch" in
+      let extra = trace_cycles t "sch" in
     Nfp.Fpc.submit t.sch_fpc
       [ Compute (c.Config.scheduler_pick + extra) ]
       (sc_span t ~stage:"sched" ~conn:conn_idx ~id:(-1)
@@ -1773,7 +1650,7 @@ let dispatch_tx t ~conn:conn_idx =
            let pre_extra = trace_cycles t "preproc" in
            Nfp.Fpc.submit fpc
              [ Compute (c.Config.preproc_summary + pre_extra) ]
-             (fun () -> protocol_tx t ~conn:conn_idx)))
+             (fun () -> protocol_stage t conn_idx P_tx)))
   end
 
 (* --- Host-control path ------------------------------------------------- *)
@@ -1793,7 +1670,6 @@ let rec atx_drain t ctx =
 and atx_drain_body t ctx =
   t.atx_scheduled.(ctx) <- false;
   let ring = t.atx.(ctx) in
-  let c = t.cfg.Config.costs in
   if not (Nfp.Ring.is_empty ring) then begin
     if t.hc_descs_free <= 0 then begin
       (* Descriptor pool exhausted: flow-control, retry shortly. *)
@@ -1821,7 +1697,7 @@ and atx_drain_body t ctx =
                     let pre = next_preproc t in
                     Nfp.Fpc.submit pre
                       [ Compute c.Config.preproc_lookup_hit ]
-                      (fun () -> protocol_hc t desc)
+                      (fun () -> protocol_stage t desc.Meta.h_conn (P_hc desc))
                   end
                   else rtc_hc t desc));
           atx_drain t ctx
@@ -1848,7 +1724,7 @@ let atx_push t ~ctx (d : Meta.hc_desc) =
       (* Held doorbell: ring when the batch fills (above) or when the
          hold timer expires on a partial batch, whichever is first. *)
       t.atx_flush_armed.(ctx) <- true;
-      Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+      Sim.Engine.schedule t.engine Config.batch_delay (fun () ->
           t.atx_flush_armed.(ctx) <- false;
           if (not t.atx_scheduled.(ctx))
              && not (Nfp.Ring.is_empty t.atx.(ctx))
@@ -2249,7 +2125,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
                   Flow_group.shard_of_group
                     cs.Conn_state.pre.Conn_state.flow_group ~shards
               | None -> 0)
-            engine ~slot:cfg.Config.wheel_slot ~slots:cfg.Config.wheel_slots
+            engine ~slot:Config.wheel_slot ~slots:Config.wheel_slots
             ~credits:(min 256 p.Nfp.Params.seg_buffers)
             ~dispatch:(fun ~conn -> dispatch_tx (Lazy.force t) ~conn);
         atx =
@@ -2294,7 +2170,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   let b = cfg.Config.batch in
   if b.Config.b_doorbell > 1 || b.Config.b_completion > 1 then
     Nfp.Dma.set_batch t.dma ~doorbell:b.Config.b_doorbell
-      ~completion:b.Config.b_completion ~delay:cfg.Config.batch_delay;
+      ~completion:b.Config.b_completion ~delay:Config.batch_delay;
   (* Layer 2 wiring: give every execution context an identity and
      every ordering mechanism a happens-before edge. The RTC baseline
      FPC is deliberately left untraced (san is None for it anyway). *)

@@ -807,22 +807,22 @@ and bind_args params arg_tags =
 (* --- Stage analysis -------------------------------------------------- *)
 
 (* The built-in pipeline's stage entry points, by contract stage
-   name. [rtc_*] is the run-to-completion baseline: it reuses the
-   protocol helpers but belongs to no pipeline stage. *)
+   name. [rtc_*] is the run-to-completion baseline: it shares the
+   stages' helpers but belongs to no pipeline stage. *)
 let builtin_stage_map =
   [
     ("preproc",
      [ "rx_frame"; "rx_datapath"; "guard_shed_rx"; "preproc_rx";
        "forward_to_control" ]);
     ("gro", [ "gro_release"; "gro_flush"; "gro_submit" ]);
-    ("protocol", [ "protocol_rx"; "protocol_tx"; "protocol_hc" ]);
+    ("protocol", [ "protocol_stage" ]);
     ("postproc", [ "postproc_stage" ]);
     ("dma", [ "dma_stage" ]);
     ("ctx",
-     [ "notify_libtoe"; "notify_libtoe_now"; "arx_flush"; "atx_drain";
+     [ "notify_libtoe"; "arx_deliver"; "arx_flush"; "atx_drain";
        "atx_drain_body" ]);
     ("sched", [ "dispatch_tx" ]);
-    ("nbi", [ "nbi_emit"; "nbi_emit_one" ]);
+    ("nbi", [ "nbi_emit" ]);
   ]
 
 let builtin_excluded = [ "rtc_rx"; "rtc_tx"; "rtc_hc"; "rtc_pcie_sleep" ]
@@ -925,8 +925,31 @@ let infer_footprints ?(flags = []) ~dp_file
           in
           let results = List.map analyze stage_map in
           let footprints = List.map fst results in
+          (* An excluded name that no longer exists silently stops
+             excluding anything: report it like a missing entry. *)
+          let missing_excluded =
+            List.filter_map
+              (fun name ->
+                if Hashtbl.mem dp_fns name then None
+                else
+                  Some
+                    {
+                      f_rule = "missing-entry";
+                      f_severity = Sev_error;
+                      f_stage = None;
+                      f_file = dp_file;
+                      f_line = 1;
+                      f_msg =
+                        Printf.sprintf
+                          "excluded function '%s' not found in %s \
+                           (renamed? update the exclusions)"
+                          name dp_file;
+                    })
+              excluded
+          in
           let findings =
             List.concat_map (fun (_, acc) -> List.rev acc.ac_findings) results
+            @ missing_excluded
           in
           let locs =
             List.concat_map

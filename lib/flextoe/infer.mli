@@ -68,8 +68,9 @@ val builtin_stage_map : (string * string list) list
 
 val builtin_excluded : string list
 (** Functions never expanded into any stage (the run-to-completion
-    baseline reuses stage helpers but belongs to no pipeline
-    stage). *)
+    baseline shares stage helpers but belongs to no pipeline stage).
+    An excluded name missing from [datapath.ml] is reported as a
+    [missing-entry] error, like a missing stage entry. *)
 
 val infer_footprints :
   ?flags:string list ->

@@ -86,7 +86,7 @@ let rec flush_hc t sock =
 let do_send t sock data =
   if sock.closed then 0
   else begin
-    charge sock t.cfg.Config.sockets_api_cycles;
+    charge sock Config.sockets_api_cycles;
     let n = min (Bytes.length data) sock.tx_free in
     if n > 0 then begin
       let buf = sock.handle.Control_plane.ch_state.Conn_state.post
@@ -108,7 +108,7 @@ let do_send t sock data =
       then flush_hc t sock
       else if not sock.hc_batch_armed then begin
         sock.hc_batch_armed <- true;
-        Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+        Sim.Engine.schedule t.engine Config.batch_delay (fun () ->
             sock.hc_batch_armed <- false;
             flush_hc t sock)
       end
@@ -117,7 +117,7 @@ let do_send t sock data =
   end
 
 let do_recv t sock ~max =
-  charge sock t.cfg.Config.sockets_api_cycles;
+  charge sock Config.sockets_api_cycles;
   let n = min max sock.rx_ready in
   if n <= 0 then Bytes.empty
   else begin
@@ -139,7 +139,7 @@ let do_recv t sock ~max =
 let do_close t sock =
   if not sock.closed then begin
     sock.closed <- true;
-    charge sock t.cfg.Config.sockets_api_cycles;
+    charge sock Config.sockets_api_cycles;
     sock.fin_pending <- true;
     flush_hc t sock;
     (* The FIN rides the sock's own context ring, ordered behind any

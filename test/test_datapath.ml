@@ -144,6 +144,74 @@ let test_stats_consistency () =
   check_bool "conservation a->b" true (abs (sent - seen) < 64);
   check_int "nothing dropped" 0 sa.Flextoe.Datapath.rx_dropped
 
+(* A fast retransmit reaches the control plane's congestion-control
+   counters in both modes. The sender's incoming ACKs are dropped so
+   its data stays unacknowledged; duplicate ACKs injected straight
+   into its data path then trigger exactly one fast retransmit, which
+   [read_cc_stats] must report. The CP loop is pushed past the horizon
+   so nothing else reads (and resets) the counters first. *)
+let test_fast_retx_cc_stats () =
+  List.iter
+    (fun (mode, par) ->
+      let config =
+        {
+          (Flextoe.Config.with_parallelism Flextoe.Config.default par) with
+          Flextoe.Config.cc_interval = Sim.Time.sec 1.;
+        }
+      in
+      let engine, a, b = mk_pair ~config () in
+      Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
+        ~handler:Host.Rpc.echo_handler ();
+      let sock = ref None in
+      (Flextoe.endpoint b).Host.Api.connect ~remote_ip:ip_a ~remote_port:7
+        ~on_connected:(fun r ->
+          match r with
+          | Ok s -> sock := Some s
+          | Error e -> Alcotest.failf "%s" e);
+      Sim.Engine.run ~until:(Sim.Time.ms 2) engine;
+      let dpb = Flextoe.datapath b in
+      Netsim.Fabric.set_rx_fault (Flextoe.Datapath.fabric_port dpb)
+        (Some (fun _ _ -> ()));
+      ignore
+        ((Option.get !sock).Host.Api.send
+           (Host.Framing.encode (Bytes.make 256 'x')));
+      Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
+      let cs = Option.get (Flextoe.Datapath.conn dpb 0) in
+      let proto = cs.Flextoe.Conn_state.proto in
+      check_bool (mode ^ ": data in flight") true
+        (Flextoe.Conn_state.tx_unacked cs > 0);
+      let flow = cs.Flextoe.Conn_state.flow in
+      let dup_ack =
+        Tcp.Segment.make_frame ~src_mac:(Flextoe.mac_of_ip ip_a)
+          ~dst_mac:(Flextoe.mac_of_ip ip_b)
+          (Tcp.Segment.make ~flags:Tcp.Segment.flags_ack
+             ~window:
+               (proto.Flextoe.Conn_state.remote_win
+               lsr config.Flextoe.Config.window_scale)
+             ~src_ip:flow.Tcp.Flow.remote_ip ~dst_ip:flow.Tcp.Flow.local_ip
+             ~src_port:flow.Tcp.Flow.remote_port
+             ~dst_port:flow.Tcp.Flow.local_port
+             ~seq:
+               (Flextoe.Conn_state.rx_seq_of_pos cs
+                  (Flextoe.Conn_state.rx_next_pos cs))
+             ~ack_seq:
+               (Flextoe.Conn_state.tx_seq_of_pos cs
+                  proto.Flextoe.Conn_state.tx_acked_pos)
+             ())
+      in
+      for _ = 1 to 5 do
+        Flextoe.Datapath.reinject_rx dpb dup_ack
+      done;
+      Sim.Engine.run ~until:(Sim.Time.ms 4) engine;
+      check_int (mode ^ ": datapath counted the fast retransmit") 1
+        (Flextoe.Datapath.stats dpb).Flextoe.Datapath.fast_retx;
+      check_int (mode ^ ": CC stats report the fast retransmit") 1
+        (Flextoe.Datapath.read_cc_stats dpb ~conn:0).Flextoe.Datapath.fretx)
+    [
+      ("pipelined", Flextoe.Config.t3_flow_groups);
+      ("rtc", Flextoe.Config.t3_baseline);
+    ]
+
 let suite =
   [
     Alcotest.test_case "connection database lookup" `Quick test_has_flow;
@@ -157,17 +225,20 @@ let suite =
     Alcotest.test_case "run-to-completion placement" `Quick
       test_rtc_uses_only_rtc_fpc;
     Alcotest.test_case "segment conservation" `Quick test_stats_consistency;
+    Alcotest.test_case "fast retransmit reaches CC stats" `Quick
+      test_fast_retx_cc_stats;
   ]
 
 (* VLAN-tagged ingress end to end: without the strip module, tagged
    frames are not data-path segments (they detour to the control
    plane); with it, they flow normally. *)
 let test_vlan_ingress () =
-  let run with_strip =
-    let engine = Sim.Engine.create () in
-    let fabric = Netsim.Fabric.create engine () in
-    let a = Flextoe.create_node engine ~fabric ~ip:ip_a () in
-    let b = Flextoe.create_node engine ~fabric ~ip:ip_b () in
+  let run ?(parallelism = Flextoe.Config.t3_flow_groups)
+      ?(payload = Bytes.empty) with_strip =
+    let config =
+      Flextoe.Config.with_parallelism Flextoe.Config.default parallelism
+    in
+    let engine, a, b = mk_pair ~config () in
     if with_strip then begin
       let vs = Flextoe.Ext_vlan.create engine in
       Flextoe.Ext_vlan.install vs (Flextoe.datapath a)
@@ -194,8 +265,7 @@ let test_vlan_ingress () =
     in
     let flow = cs.Flextoe.Conn_state.flow in
     let seg =
-      Tcp.Segment.make ~flags:Tcp.Segment.flags_ack
-        ~payload:Bytes.empty
+      Tcp.Segment.make ~flags:Tcp.Segment.flags_ack ~payload
         ~src_ip:flow.Tcp.Flow.local_ip
         ~dst_ip:flow.Tcp.Flow.remote_ip
         ~src_port:flow.Tcp.Flow.local_port
@@ -230,7 +300,20 @@ let test_vlan_ingress () =
      control plane; with it, they are stripped and handled by the
      data path. *)
   check_bool "tagged frames detour without strip" true (run false >= 10);
-  check_int "stripped frames stay on the data path" 0 (run true)
+  check_int "stripped frames stay on the data path" 0 (run true);
+  (* A tagged data segment of an installed flow is a control-path
+     frame in either mode: the run-to-completion baseline applies the
+     pre-processor's predicate too. *)
+  List.iter
+    (fun (mode, parallelism) ->
+      check_bool
+        (mode ^ ": tagged data segments detour")
+        true
+        (run ~parallelism ~payload:(Bytes.make 16 'v') false >= 10))
+    [
+      ("pipelined", Flextoe.Config.t3_flow_groups);
+      ("rtc", Flextoe.Config.t3_baseline);
+    ]
 
 let vlan_suite =
   [ Alcotest.test_case "VLAN ingress with/without strip module" `Quick

@@ -119,7 +119,23 @@ let test_missing_entry () =
       | Error e -> Alcotest.fail e
       | Ok (_, findings, _) ->
           check_bool "missing entry reported" true
-            (List.exists (fun f -> f.I.f_rule = "missing-entry") findings))
+            (List.exists (fun f -> f.I.f_rule = "missing-entry") findings));
+  (* A stale exclusion is reported the same way. *)
+  with_tmp ".ml" mini_dp (fun dp_file ->
+      match
+        I.infer_footprints ~dp_file
+          ~stage_map:[ ("alpha", [ "stage_a" ]) ]
+          ~excluded:[ "stage_b"; "rtc_bogus" ] ()
+      with
+      | Error e -> Alcotest.fail e
+      | Ok (_, findings, _) ->
+          check_bool "missing exclusion reported" true
+            (List.exists
+               (fun f ->
+                 f.I.f_rule = "missing-entry" && contains f.I.f_msg "rtc_bogus")
+               findings);
+          check_bool "present exclusion not reported" false
+            (List.exists (fun f -> contains f.I.f_msg "stage_b") findings))
 
 (* Sanitizer witnesses: the sa/San.access idiom carries the region as
    literal constructors; the walker must pick the access up from the

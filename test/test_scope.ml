@@ -166,7 +166,7 @@ let test_stage_means_match_model () =
     | Some sc -> sc
     | None -> Alcotest.fail "scope missing on profiled node"
   in
-  let c = Flextoe.Config.default.Flextoe.Config.costs in
+  let c = Flextoe.Config.costs in
   let mean name =
     match List.assoc_opt ("stage/" ^ name) (Scope.histograms sc) with
     | Some h when H.count h > 0 -> H.mean h
