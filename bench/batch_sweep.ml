@@ -22,10 +22,7 @@ let degrees = [ 1; 2; 4; 8 ]
    speedup gate, which runs all four degree worlds as cluster LPs. *)
 let build_degree w b =
   let config =
-    {
-      Flextoe.Config.default with
-      Flextoe.Config.batch = Flextoe.Config.batch_of b;
-    }
+    { Flextoe.Config.default with Flextoe.Config.batch = b }
   in
   let server = mk_node w FlexTOE ~app_cores:2 ~config ip_server in
   let stats = Host.Rpc.Stats.create w.engine in

@@ -16,7 +16,7 @@
      (bench/BENCH_baseline_pr6.json);
    - retention at 10x at or above the baseline's retention_floor;
    - established_shed identically 0 at every multiplier;
-   - per-stage peak queue depths bounded (cp peak <= g_cp_queue). *)
+   - per-stage peak queue depths bounded (cp peak <= Config.cp_queue). *)
 
 open Common
 
@@ -32,13 +32,13 @@ type outcome = {
   c_shed : int;  (* shed_backlog + shed_admission + shed_queue *)
   c_est_shed : int;  (* must be 0 *)
   c_cp_peak : int;
-  c_cp_bound : int;  (* g_cp_queue *)
+  c_cp_bound : int;  (* Config.cp_queue *)
   c_sched_peak : int;
 }
 
 let guarded_config () =
   { Flextoe.Config.default with
-    Flextoe.Config.guard = Flextoe.Config.guard_default }
+    Flextoe.Config.guard = Some Flextoe.Config.guard_default }
 
 let flex_node n = Option.get n.flex
 
@@ -102,7 +102,7 @@ let measure_mult mult =
              + c "shed_paused";
     c_est_shed = Flextoe.Guard.established_shed g;
     c_cp_peak = Flextoe.Guard.peak_depth g ~stage:"cp";
-    c_cp_bound = (Flextoe.Guard.config g).Flextoe.Config.g_cp_queue;
+    c_cp_bound = Flextoe.Config.cp_queue;
     c_sched_peak = Flextoe.Datapath.sched_peak_ready sdp;
   }
 
@@ -239,5 +239,5 @@ let gate ~baseline ~out () =
       unbounded;
     ok := false
   end
-  else Printf.printf "OK   cp-queue bound       peaks within g_cp_queue\n";
+  else Printf.printf "OK   cp-queue bound       peaks within cp_queue\n";
   !ok

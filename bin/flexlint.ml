@@ -646,7 +646,6 @@ let read_churn_trace path =
 let run_churn path backlog max_conns no_cookies tw_ticks =
   let g =
     {
-      Flextoe.Config.guard_default with
       Flextoe.Config.g_syn_backlog = backlog;
       g_max_conns = max_conns;
       g_syn_cookies = not no_cookies;
@@ -738,9 +737,9 @@ let graph_degrees = [ 1; 8; 16 ]
 let graph_config ~batch ~guard =
   {
     Flextoe.Config.default with
-    Flextoe.Config.batch = Flextoe.Config.batch_of batch;
+    Flextoe.Config.batch;
     guard =
-      (if guard then Flextoe.Config.guard_default
+      (if guard then Some Flextoe.Config.guard_default
        else Flextoe.Config.guard_none);
   }
 

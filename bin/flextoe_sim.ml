@@ -230,9 +230,7 @@ let run_ablation () =
     (fun (name, par) ->
       let engine = Sim.Engine.create () in
       let fabric = Netsim.Fabric.create engine () in
-      let config =
-        Flextoe.Config.with_parallelism Flextoe.Config.default par
-      in
+      let config = { Flextoe.Config.default with parallelism = par } in
       let server =
         Flextoe.create_node engine ~fabric ~config ~app_cores:8
           ~ip:0x0A000001 ()

@@ -5,9 +5,10 @@ type parallelism = {
   postproc_replicas : int;
   proto_replicas : int;
   flow_groups : int;
-  dma_replicas : int;
-  ctx_replicas : int;
 }
+
+let dma_replicas = 4
+let ctx_replicas = 4
 
 type stage_costs = {
   preproc_validate : int;
@@ -36,105 +37,41 @@ type stage_costs = {
   notify_coalesce : int;  (** Per absorbed ARX notification. *)
 }
 
-(** Batching degrees at each pipeline boundary (§3.4): how many units
-    amortize one fixed cost. All 1 = today's per-segment behavior,
-    bit-identical to the unbatched pipeline (the batch>1 code paths
-    are never entered). *)
-type batch = {
-  b_gro : int;  (** Adjacent in-order RX segments merged per GRO descriptor. *)
-  b_tso : int;  (** MSS units per TX descriptor; split at the NBI. *)
-  b_doorbell : int;  (** DMA descriptors rung per doorbell. *)
-  b_completion : int;  (** DMA completions coalesced per delivery. *)
-  b_notify : int;  (** ARX notifications coalesced per context-queue DMA. *)
-}
-
-let batch_none =
-  { b_gro = 1; b_tso = 1; b_doorbell = 1; b_completion = 1; b_notify = 1 }
-
-let batch_of n =
-  let n = max 1 n in
-  { b_gro = n; b_tso = n; b_doorbell = n; b_completion = n; b_notify = n }
-
 (** FlexGuard: overload control and graceful degradation under
-    connection churn. Everything is off by default ([guard_none]) —
-    the guarded code paths are never entered and no extra engine
-    events are scheduled, keeping default-config runs bit-identical
-    to the unguarded pipeline. *)
+    connection churn. Off by default ([guard_none]) — the guarded code
+    paths are never entered and no extra engine events are scheduled,
+    keeping default-config runs bit-identical to the unguarded
+    pipeline. The record holds the admission policy; the timers and
+    bounds below are fixed. *)
 type guard = {
-  g_on : bool;  (** Master enable; false = all mechanisms dormant. *)
   g_syn_backlog : int;
       (** Max half-open handshakes held statefully; 0 = unbounded. *)
   g_syn_cookies : bool;
       (** Stateless SYN-cookie fallback once the backlog is full. *)
-  g_syn_retries : int;  (** Max SYN / SYN-ACK retransmissions. *)
-  g_syn_retry_base : Sim.Time.t;  (** First retry delay (doubles). *)
-  g_syn_retry_max : Sim.Time.t;  (** Backoff ceiling. *)
   g_max_conns : int;
       (** Admission cap on established + half-open connections;
           0 = unlimited. *)
-  g_time_wait : Sim.Time.t;
-      (** TIME_WAIT hold after both directions close; 0 = immediate
-          free (the pre-FlexGuard behavior). *)
-  g_time_wait_max : int;
-      (** TIME_WAIT table cap; under pressure the oldest entry is
-          recycled. 0 = unbounded. *)
-  g_idle_timeout : Sim.Time.t;
-      (** Reap FIN_WAIT/half-closed connections idle this long. *)
-  g_reap_interval : Sim.Time.t;  (** Reaper loop period. *)
-  g_cp_queue : int;
-      (** Bound on control-path frames in flight to the CP; beyond it
-          the NBI sheds newest SYNs first (never established-flow
-          segments). 0 = unbounded. *)
-  g_rst : bool;  (** RST generation and handling. *)
-  g_evict_caches : bool;
-      (** Invalidate the CAM/CLS/EMEM entries of a removed connection
-          so churn does not poison the cache hierarchy. *)
 }
 
-let guard_none =
-  {
-    g_on = false;
-    g_syn_backlog = 0;
-    g_syn_cookies = false;
-    g_syn_retries = 10;
-    g_syn_retry_base = Sim.Time.ms 5;
-    g_syn_retry_max = Sim.Time.ms 5;
-    g_max_conns = 0;
-    g_time_wait = Sim.Time.zero;
-    g_time_wait_max = 0;
-    g_idle_timeout = Sim.Time.zero;
-    g_reap_interval = Sim.Time.ms 1;
-    g_cp_queue = 0;
-    g_rst = false;
-    g_evict_caches = false;
-  }
-
+let guard_none = None
 let guard_default =
-  {
-    g_on = true;
-    g_syn_backlog = 64;
-    g_syn_cookies = true;
-    g_syn_retries = 6;
-    g_syn_retry_base = Sim.Time.ms 1;
-    g_syn_retry_max = Sim.Time.ms 8;
-    g_max_conns = 0;
-    g_time_wait = Sim.Time.ms 10;
-    g_time_wait_max = 4096;
-    g_idle_timeout = Sim.Time.ms 20;
-    g_reap_interval = Sim.Time.ms 1;
-    g_cp_queue = 64;
-    g_rst = true;
-    g_evict_caches = true;
-  }
+  { g_syn_backlog = 64; g_syn_cookies = true; g_max_conns = 0 }
+let syn_retries = 6
+let syn_retry_base = Sim.Time.ms 1
+let syn_retry_max = Sim.Time.ms 8
+let time_wait = Sim.Time.ms 10
+let time_wait_max = 4096
+let idle_timeout = Sim.Time.ms 20
+let reap_interval = Sim.Time.ms 1
+let cp_queue = 64
 
 (** FlexScale: sharded flow-group pipelines (DESIGN.md §17). Off by
-    default ([scale_none]) — the sharded code paths are never entered
-    and behavior is bit-identical to the single-pipeline datapath.
-    With [s_on] and [s_shards = 1] the sharded wiring is exercised but
+    default ([None]) — the sharded code paths are never entered and
+    behavior is bit-identical to the single-pipeline datapath. With
+    [Some] and [s_shards = 1] the sharded wiring is exercised but
     degenerates to the same single EMEM cache and steering, which the
     golden-trace gate pins bit-for-bit. *)
 type scale = {
-  s_on : bool;  (** Master enable; false = single-pipeline wiring. *)
   s_shards : int;
       (** Replicated protocol-stage pipelines; flow groups steer to
           shard [fg mod s_shards]. *)
@@ -143,17 +80,7 @@ type scale = {
           per-flow state overflows the cached working set and misses
           start paying the full DRAM penalty; 0 disables pressure
           accounting. *)
-  s_pin_hot : bool;
-      (** Never silently evict an Established flow's hot EMEM-cache
-          state: hot entries are pinned and eviction prefers cold
-          (closing/TIME_WAIT) state. *)
 }
-
-let scale_none =
-  { s_on = false; s_shards = 1; s_emem_flows = 0; s_pin_hot = false }
-
-let scale_of n =
-  { s_on = true; s_shards = max 1 n; s_emem_flows = 0; s_pin_hot = true }
 
 type congestion_control = Dctcp | Timely | Cc_none
 
@@ -172,9 +99,9 @@ type t = {
   notify_cycles : int;
   san : bool;  (** Enable the FlexSan dynamic sanitizer (layer 2). *)
   scope : scope_mode;  (** FlexScope profiling (off / metrics / full). *)
-  batch : batch;  (** Pipeline-boundary batching degrees. *)
-  guard : guard;  (** FlexGuard overload control ([guard_none] off). *)
-  scale : scale;  (** FlexScale sharding ([scale_none] off). *)
+  batch : int;  (** Pipeline-boundary batching degree (1 = unbatched). *)
+  guard : guard option;  (** FlexGuard overload control ([None] off). *)
+  scale : scale option;  (** FlexScale sharding ([None] off). *)
 }
 
 let costs =
@@ -219,8 +146,6 @@ let t3_flow_groups =
     postproc_replicas = 4;
     proto_replicas = 2;
     flow_groups = 4;
-    dma_replicas = 4;
-    ctx_replicas = 4;
   }
 
 let t3_replicated =
@@ -252,7 +177,7 @@ let scope_env =
    job runs the whole suite guarded without per-test plumbing. *)
 let guard_env =
   match Sys.getenv_opt "FLEXGUARD" with
-  | Some ("1" | "on" | "true" | "yes") -> guard_default
+  | Some ("1" | "on" | "true" | "yes") -> Some guard_default
   | _ -> guard_none
 
 let default =
@@ -269,9 +194,7 @@ let default =
     notify_cycles = 60;
     san = san_env;
     scope = scope_env;
-    batch = batch_none;
+    batch = 1;
     guard = guard_env;
-    scale = scale_none;
+    scale = None;
   }
-
-let with_parallelism t p = { t with parallelism = p }

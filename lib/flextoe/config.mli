@@ -20,9 +20,14 @@ type parallelism = {
           connection-scalability benchmark runs the protocol stage on
           8 FPCs, two per island). *)
   flow_groups : int;  (** Protocol islands (1..4 on the Agilio CX). *)
-  dma_replicas : int;  (** DMA-manager FPCs on the service island. *)
-  ctx_replicas : int;  (** Context-queue FPCs. *)
 }
+
+val dma_replicas : int
+(** DMA-manager FPCs on the service island (4 in every Table 3
+    column). *)
+
+val ctx_replicas : int
+(** Context-queue FPCs on the service island (4). *)
 
 (** Per-stage instruction budgets, in FPC cycles (the fields of
     {!costs}). *)
@@ -63,43 +68,22 @@ val costs : stage_costs
 (** The per-stage instruction budgets the simulation is calibrated
     with; see DESIGN.md §6 for how they were chosen. *)
 
-(** Batching degrees at each pipeline boundary (§3.4): how many units
-    amortize one fixed cost. All 1 (the default) preserves today's
-    per-segment behavior bit for bit — the batch>1 code paths are
-    never entered. *)
-type batch = {
-  b_gro : int;
-      (** Adjacent in-sequence RX data segments of a flow merged into
-          one descriptor before protocol processing. *)
-  b_tso : int;
-      (** MSS units one TX descriptor may carry; the NBI splits the
-          descriptor back into wire frames. *)
-  b_doorbell : int;  (** DMA descriptors rung per doorbell. *)
-  b_completion : int;  (** DMA completions coalesced per delivery. *)
-  b_notify : int;
-      (** ARX notifications per connection coalesced into one
-          context-queue DMA and host wakeup. *)
-}
-
-val batch_none : batch
-(** All degrees 1: bit-identical to the unbatched pipeline. *)
-
-val batch_of : int -> batch
-(** Uniform batching degree at every boundary (clamped to >= 1). *)
-
 (** FlexGuard: overload control and graceful degradation under
     connection churn (DESIGN.md §13). Listen-path protection (bounded
     SYN backlog with a stateless SYN-cookie fallback, bounded
     handshake retransmission with exponential backoff), a full
     teardown lifecycle (TIME_WAIT with recycling under pressure,
-    idle-timeout reaping, RST generation/handling), and admission
-    control with load shedding (bounded control-path queue; the shed
-    policy drops newest SYNs first and {e never} an established-flow
-    segment). With {!guard_none} (the default) every mechanism is
-    dormant: no extra engine events are scheduled and behavior is
-    bit-identical to the unguarded pipeline. *)
+    idle-timeout reaping, RST generation/handling), admission control
+    with load shedding (bounded control-path queue; the shed policy
+    drops newest SYNs first and {e never} an established-flow
+    segment), and invalidation of a removed connection's CAM/CLS/EMEM
+    entries so churn does not poison the cache hierarchy. [Some g]
+    arms all of it; with {!guard_none} (the default) every mechanism
+    is dormant: no extra engine events are scheduled and behavior is
+    bit-identical to the unguarded pipeline. The record holds the
+    admission policy ([flexlint churn]'s flags); the timers and
+    bounds are the constants below. *)
 type guard = {
-  g_on : bool;  (** Master enable. *)
   g_syn_backlog : int;
       (** Max half-open handshakes held statefully; 0 = unbounded. *)
   g_syn_cookies : bool;
@@ -107,79 +91,72 @@ type guard = {
           SYN-ACK's ISN encodes the flow, a secret and a coarse time
           epoch, so the connection installs from the completing ACK
           without ever holding half-open state. *)
-  g_syn_retries : int;  (** Max SYN / SYN-ACK retransmissions. *)
-  g_syn_retry_base : Sim.Time.t;
-      (** First retry delay; doubles per attempt (exponential
-          backoff). On exhaustion a [connect] surfaces ["Etimedout"]. *)
-  g_syn_retry_max : Sim.Time.t;  (** Backoff ceiling. *)
   g_max_conns : int;
       (** Admission cap on established + half-open connections;
           0 = unlimited. *)
-  g_time_wait : Sim.Time.t;
-      (** TIME_WAIT hold after both directions close; 0 = free
-          immediately (the pre-FlexGuard behavior). A fresh SYN for a
-          TIME_WAIT 4-tuple recycles the entry only when its ISN is
-          strictly beyond the old connection's final receive point
-          (Seq32 wraparound-aware), as in RFC 6191. *)
-  g_time_wait_max : int;
-      (** TIME_WAIT table cap; under pressure the oldest entry is
-          recycled. 0 = unbounded. *)
-  g_idle_timeout : Sim.Time.t;
-      (** Reap closing connections (FIN_WAIT / half-closed) that have
-          made no progress for this long. *)
-  g_reap_interval : Sim.Time.t;  (** Reaper loop period. *)
-  g_cp_queue : int;
-      (** Bound on control-path frames in flight to the CP; beyond it
-          the NBI sheds newest SYNs first ({e never} established-flow
-          segments). 0 = unbounded. *)
-  g_rst : bool;
-      (** RST generation (to no-such-connection, to cookie failures)
-          and handling (abort on RST, including during half-close). *)
-  g_evict_caches : bool;
-      (** Invalidate the CAM/CLS/EMEM entries of a removed connection
-          so churn does not poison the cache hierarchy. *)
 }
 
-val guard_none : guard
-(** All mechanisms off: bit-identical to the unguarded pipeline. *)
+val guard_none : guard option
+(** [None]: all mechanisms off, bit-identical to the unguarded
+    pipeline. *)
 
 val guard_default : guard
-(** The tuned churn defaults: backlog 64 with cookies, 6 retries from
-    1 ms backing off to 8 ms, 10 ms TIME_WAIT (max 4096 entries),
-    20 ms idle reap, CP queue bound 64, RST on, cache eviction on. *)
+(** The tuned churn policy: backlog 64 with cookies, no admission
+    cap. *)
+
+val syn_retries : int
+(** Max SYN / SYN-ACK retransmissions under the guard (6). *)
+
+val syn_retry_base : Sim.Time.t
+(** First handshake retry delay (1 ms); doubles per attempt. On
+    exhaustion a [connect] surfaces ["Etimedout"]. *)
+
+val syn_retry_max : Sim.Time.t
+(** Handshake backoff ceiling (8 ms). *)
+
+val time_wait : Sim.Time.t
+(** TIME_WAIT hold after both directions close (10 ms), also the
+    SYN-cookie epoch. A fresh SYN for a TIME_WAIT 4-tuple recycles the
+    entry only when its ISN is strictly beyond the old connection's
+    final receive point (Seq32 wraparound-aware), as in RFC 6191. *)
+
+val time_wait_max : int
+(** TIME_WAIT table cap (4096); under pressure the oldest entry is
+    recycled. *)
+
+val idle_timeout : Sim.Time.t
+(** Reap closing connections (FIN_WAIT / half-closed) that have made
+    no progress for this long (20 ms). *)
+
+val reap_interval : Sim.Time.t
+(** Reaper loop period (1 ms). *)
+
+val cp_queue : int
+(** Bound on control-path frames in flight to the CP (64); beyond it
+    the NBI sheds newest SYNs first ({e never} established-flow
+    segments). *)
 
 (** FlexScale: sharded flow-group pipelines (DESIGN.md §17). Per-flow
     state is sharded across [s_shards] replicated protocol-stage
     pipelines keyed by the flow-group hash; each shard owns its own
-    CAM/CLS/EMEM-cache slice and runs as its own FlexPar LP. With
-    {!scale_none} (the default) the sharded code paths are never
-    entered; with [s_on] and [s_shards = 1] the sharded wiring is
-    exercised but bit-identical to the single pipeline (the
-    golden-trace gate pins this). *)
+    CAM/CLS/EMEM-cache slice and runs as its own FlexPar LP, and an
+    Established flow's hot EMEM-cache state is pinned: eviction
+    prefers cold (closing/TIME_WAIT) state, and a forced pinned
+    eviction is counted loudly rather than silent. With [None] (the
+    default) the sharded code paths are never entered; with
+    [s_shards = 1] the sharded wiring is exercised but bit-identical
+    to the single pipeline (the golden-trace gate pins this). *)
 type scale = {
-  s_on : bool;  (** Master enable. *)
   s_shards : int;
-      (** Replicated protocol-stage pipelines; flow group [fg] steers
-          to shard [fg mod s_shards] — a pure function of the 4-tuple,
-          so a flow never migrates shards mid-life. *)
+      (** Replicated protocol-stage pipelines (>= 1); flow group [fg]
+          steers to shard [fg mod s_shards] — a pure function of the
+          4-tuple, so a flow never migrates shards mid-life. *)
   s_emem_flows : int;
       (** EMEM capacity-pressure model: connections whose 108 B state
           fits the cached working set; past it, misses pay the full
           DRAM penalty (extra cycles grow with overcommit).
           0 disables pressure accounting. *)
-  s_pin_hot : bool;
-      (** Never silently evict an Established flow's hot EMEM-cache
-          state: hot entries are pinned, eviction prefers cold
-          (closing/TIME_WAIT) state, and a forced pinned eviction is
-          counted loudly rather than silent. *)
 }
-
-val scale_none : scale
-(** Sharding off: bit-identical to the single-pipeline datapath. *)
-
-val scale_of : int -> scale
-(** [scale_of n] enables sharding with [n] shards (clamped to >= 1)
-    and hot-state pinning; pressure accounting stays off. *)
 
 type congestion_control = Dctcp | Timely | Cc_none
 
@@ -226,13 +203,19 @@ type t = {
           host-side observation, like FlexSan); the modelled cost of
           {e tracepoints} remains a separate, per-point opt-in via
           {!Sim.Trace}. *)
-  batch : batch;
-      (** Pipeline-boundary batching degrees ({!batch_none} by
-          default). *)
-  guard : guard;
+  batch : int;
+      (** Batching degree at every pipeline boundary (§3.4), >= 1: how
+          many units amortize one fixed cost — adjacent in-sequence RX
+          segments merged by GRO before protocol processing, MSS units
+          per TSO descriptor (split back into wire frames at the NBI),
+          DMA descriptors per doorbell, DMA completions per delivery,
+          and ARX notifications per context-queue DMA and host wakeup.
+          1 (the default) preserves the per-segment pipeline bit for
+          bit: the batch>1 code paths are never entered. *)
+  guard : guard option;
       (** FlexGuard overload control ({!guard_none} by default). *)
-  scale : scale;
-      (** FlexScale sharding ({!scale_none} by default). *)
+  scale : scale option;
+      (** FlexScale sharding ([None] by default). *)
 }
 
 val default : t
@@ -243,8 +226,6 @@ val default : t
     {!Scope_full}, [metrics] for {!Scope_metrics}), and
     [default.guard] follows [FLEXGUARD] ([1]/[on]/[true]/[yes] arm
     {!guard_default}). *)
-
-val with_parallelism : t -> parallelism -> t
 
 (** Protocol and host constants. *)
 

@@ -158,7 +158,7 @@ type close_event =
   | Ev_fin_acked  (* our FIN was cumulatively acknowledged *)
   | Ev_rst  (* RST received (guarded mode only; unguarded RSTs no-op) *)
   | Ev_abort  (* CP abort: retransmission retries exhausted *)
-  | Ev_reap_idle  (* FlexGuard reaper: idle past g_idle_timeout *)
+  | Ev_reap_idle  (* FlexGuard reaper: idle past Config.idle_timeout *)
   | Ev_teardown  (* CP teardown poll found the flow fully closed *)
   | Ev_tw_fin  (* peer retransmitted its FIN into our TIME_WAIT *)
   | Ev_tw_syn  (* acceptable fresh SYN recycles the tuple (RFC 6191) *)
@@ -209,8 +209,8 @@ let output_name = function
 
 (* Total transition function. [guard] arms the FlexGuard-only events
    (RST handling, idle reaper); [tw] says a TIME_WAIT hold is
-   configured ([g_time_wait > 0]). Events that do not apply in a state
-   are no-ops: [(s, [])]. The abort path ([Ev_rst]/[Ev_abort]) always
+   configured (a guarded control plane always holds one). Events that
+   do not apply in a state are no-ops: [(s, [])]. The abort path ([Ev_rst]/[Ev_abort]) always
    notifies — the application must learn the connection died — except
    in TIME_WAIT, where an RST is ignored (RFC 1337: TIME-WAIT
    assassination refused). The reaper exempts Established (the

@@ -136,7 +136,7 @@ type close_event =
   | Ev_fin_acked  (** Our FIN was cumulatively acknowledged. *)
   | Ev_rst  (** RST received (guarded mode; unguarded RSTs no-op). *)
   | Ev_abort  (** CP abort: retransmission retries exhausted. *)
-  | Ev_reap_idle  (** FlexGuard reaper: idle past [g_idle_timeout]. *)
+  | Ev_reap_idle  (** FlexGuard reaper: idle past {!Config.idle_timeout}. *)
   | Ev_teardown  (** CP teardown poll found the flow fully closed. *)
   | Ev_tw_fin  (** Peer retransmitted its FIN into our TIME_WAIT. *)
   | Ev_tw_syn  (** Acceptable fresh SYN recycles the tuple (RFC 6191). *)
@@ -160,9 +160,10 @@ val step :
   lifecycle * close_output list
 (** Total: events that do not apply in a state are no-ops [(s, [])].
     [guard] arms the FlexGuard-only events (RST handling, idle
-    reaper); [tw] says a TIME_WAIT hold is configured
-    ([g_time_wait > 0]), steering [Ev_teardown] from [Phase Closed]
-    into [Time_wait] instead of immediate reclamation. *)
+    reaper); [tw] says a TIME_WAIT hold is configured (a guarded
+    control plane always holds one), steering [Ev_teardown] from
+    [Phase Closed] into [Time_wait] instead of immediate
+    reclamation. *)
 
 val tx_seq_of_pos : t -> int -> Tcp.Seq32.t
 (** Sequence number of a transmit-stream position. *)

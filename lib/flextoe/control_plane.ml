@@ -74,21 +74,16 @@ let gcount t name = match t.guard with Some g -> Guard.count g name | None -> ()
 
 (* Teardown decisions go through the shared pure transition table
    ([Conn_state.step]) that FlexProve model-checks: [lstep] fixes the
-   table's mode bits from this CP's guard configuration. *)
-let tw_enabled t =
-  match t.guard with
-  | Some g -> (Guard.config g).Config.g_time_wait > Sim.Time.zero
-  | None -> false
-
+   table's mode bits from this CP's guard configuration (a guarded CP
+   always holds TIME_WAIT). *)
 let lstep t state ev =
-  Conn_state.step ~guard:(t.guard <> None) ~tw:(tw_enabled t) state ev
+  let guarded = t.guard <> None in
+  Conn_state.step ~guard:guarded ~tw:guarded state ev
 
 let phase_of t conn =
   Option.map
     (fun cs -> Conn_state.Phase (Conn_state.close_phase cs))
     (Datapath.conn t.dp conn)
-let guard_rst t =
-  match t.guard with Some g -> (Guard.config g).Config.g_rst | None -> false
 let retransmit_timeouts t = t.rto_count
 let retransmit_aborts t = t.rto_aborts
 let rto_events t = List.rev t.rto_log
@@ -223,25 +218,24 @@ let port_owner t port =
 (* Handshake packets can be lost; the CP retries SYN / SYN-ACK while
    the connection is still pending. Unguarded: a fixed 5 ms period and
    10 attempts (the historical behavior, kept bit-identical). Guarded:
-   [g_syn_retries] attempts with exponential backoff from
-   [g_syn_retry_base] capped at [g_syn_retry_max], and exhaustion
-   surfaces ["Etimedout"] — a connect to a blackholed peer fails in
+   [Config.syn_retries] attempts with exponential backoff from
+   [Config.syn_retry_base] capped at [Config.syn_retry_max], and
+   exhaustion surfaces ["Etimedout"] — a connect to a blackholed peer fails in
    bounded time instead of hanging. *)
 let retry_delay t attempt =
   match t.guard with
   | None -> Sim.Time.ms 5
-  | Some g ->
-      let gc = Guard.config g in
-      let d = ref gc.Config.g_syn_retry_base in
+  | Some _ ->
+      let d = ref Config.syn_retry_base in
       for _ = 1 to attempt do
-        d := min (2 * !d) gc.Config.g_syn_retry_max
+        d := min (2 * !d) Config.syn_retry_max
       done;
       !d
 
 let max_handshake_retries t =
   match t.guard with
   | None -> 10
-  | Some g -> (Guard.config g).Config.g_syn_retries
+  | Some _ -> Config.syn_retries
 
 let timeout_error t =
   match t.guard with None -> "connection timed out" | Some _ -> "Etimedout"
@@ -296,10 +290,10 @@ let handle_syn t (frame : S.frame) =
   match Hashtbl.find_opt t.listeners seg.S.dst_port with
   | None ->
       (* No listener. Unguarded: silent drop (no RST modelled).
-         Guarded with [g_rst]: refuse actively so the peer fails fast
+         Guarded: refuse actively with a RST so the peer fails fast
          instead of retrying into the void. *)
       let flow = Tcp.Flow.of_segment_rx seg in
-      if guard_rst t then send_rst t ~flow seg
+      if t.guard <> None then send_rst t ~flow seg
   | Some (win, on_accept) ->
       let flow = Tcp.Flow.of_segment_rx seg in
       (* TIME_WAIT disambiguation: a fresh SYN may recycle a 4-tuple
@@ -490,7 +484,7 @@ let control_rx t (frame : S.frame) =
   let flow = Tcp.Flow.of_segment_rx seg in
   match Tcp.Flow.Tbl.find_opt t.pending flow with
   | Some p ->
-      if seg.S.flags.S.rst && guard_rst t then begin
+      if seg.S.flags.S.rst && t.guard <> None then begin
         (* RST against a half-open handshake: fail it immediately
            (connects surface "Econnreset"; accepts just forget). *)
         gcount t "rst_rx";
@@ -516,7 +510,7 @@ let control_rx t (frame : S.frame) =
         (* RST to an installed connection aborts it (including during
            half-close); RST to nothing is ignored. Unguarded, RSTs
            keep their historical no-op semantics. *)
-        if guard_rst t then
+        if t.guard <> None then
           match Datapath.conn_of_flow t.dp flow with
           | Some conn -> abort_on_rst t ~conn
           | None -> ()
@@ -577,7 +571,7 @@ let control_rx t (frame : S.frame) =
               | None ->
                   (* No connection, no cookie, no TIME_WAIT: actively
                      refuse so the peer aborts instead of timing out. *)
-                  if gc.Config.g_rst then send_rst t ~flow seg)
+                  send_rst t ~flow seg)
 
 (* --- Public connection API ------------------------------------------ *)
 
@@ -802,37 +796,34 @@ let iterate_flow t now (f : cc_flow) =
 let rec guard_loop t g () =
   let now = Sim.Engine.now t.engine in
   ignore (Guard.tw_reap g ~now);
-  let gc = Guard.config g in
-  if gc.Config.g_idle_timeout > Sim.Time.zero then begin
-    let stale =
-      Hashtbl.fold
-        (fun _ f acc ->
-          match Datapath.conn t.dp f.cf_conn with
-          | Some cs
-            when now - cs.Conn_state.proto.Conn_state.last_progress
-                 > gc.Config.g_idle_timeout -> (
-              match
-                lstep t
-                  (Conn_state.Phase (Conn_state.close_phase cs))
-                  Conn_state.Ev_reap_idle
-              with
-              | Conn_state.Reclaimed, outs ->
-                  (f, not (List.mem Conn_state.Out_notify_err outs)) :: acc
-              | _ -> acc)
-          | _ -> acc)
-        t.flows []
-    in
-    List.iter
-      (fun (f, orphan) ->
-        if orphan then Guard.count g "reaped_orphan"
-        else begin
-          Guard.count g "reaped_idle";
-          Datapath.notify_abort t.dp ~conn:f.cf_conn
-        end;
-        forget_flow t ~conn:f.cf_conn)
-      stale
-  end;
-  Sim.Engine.schedule t.engine gc.Config.g_reap_interval (guard_loop t g)
+  let stale =
+    Hashtbl.fold
+      (fun _ f acc ->
+        match Datapath.conn t.dp f.cf_conn with
+        | Some cs
+          when now - cs.Conn_state.proto.Conn_state.last_progress
+               > Config.idle_timeout -> (
+            match
+              lstep t
+                (Conn_state.Phase (Conn_state.close_phase cs))
+                Conn_state.Ev_reap_idle
+            with
+            | Conn_state.Reclaimed, outs ->
+                (f, not (List.mem Conn_state.Out_notify_err outs)) :: acc
+            | _ -> acc)
+        | _ -> acc)
+      t.flows []
+  in
+  List.iter
+    (fun (f, orphan) ->
+      if orphan then Guard.count g "reaped_orphan"
+      else begin
+        Guard.count g "reaped_idle";
+        Datapath.notify_abort t.dp ~conn:f.cf_conn
+      end;
+      forget_flow t ~conn:f.cf_conn)
+    stale;
+  Sim.Engine.schedule t.engine Config.reap_interval (guard_loop t g)
 
 let set_listener_paused t ~port paused =
   if paused then Hashtbl.replace t.paused port ()
@@ -877,9 +868,6 @@ let create engine ~config ~datapath ~core () =
   Datapath.set_control_rx datapath (control_rx t);
   Sim.Engine.schedule engine config.Config.cc_interval (cc_loop t);
   (match t.guard with
-  | Some g ->
-      Sim.Engine.schedule engine
-        (Guard.config g).Config.g_reap_interval
-        (guard_loop t g)
+  | Some g -> Sim.Engine.schedule engine Config.reap_interval (guard_loop t g)
   | None -> ());
   t

@@ -52,7 +52,7 @@ type post_work =
 
 type conn_lock = { mutable busy : bool; waiters : (unit -> unit) Queue.t }
 
-(* A GRO coalescing window (§3.4, [Config.batch.b_gro] > 1 only): the
+(* A GRO coalescing window (§3.4, [Config.batch] > 1 only): the
    adjacent in-sequence data segments of one flow accumulated since
    the last flush. Segments are newest-first; [gc_next] is the
    sequence number the next chainable segment must carry. *)
@@ -63,7 +63,7 @@ type gro_acc = {
   mutable gc_flushed : bool;
 }
 
-(* An ARX notification accumulator ([Config.batch.b_notify] > 1 only):
+(* An ARX notification accumulator ([Config.batch] > 1 only):
    per-connection deliveries coalesced into one context-queue DMA and
    host wakeup. Byte counts add; FIN sticks; the readable ranges,
    lifecycle ids and sanitizer tokens of every absorbed notification
@@ -513,8 +513,7 @@ let proto_state_phases t conn_state =
        entries are sticky — eviction pressure from churn takes cold
        (handshake / TIME_WAIT) entries first. *)
     let pin =
-      t.cfg.Config.scale.Config.s_on
-      && t.cfg.Config.scale.Config.s_pin_hot
+      Option.is_some t.cfg.Config.scale
       && Conn_state.close_phase conn_state = Conn_state.Established
     in
     let cam = t.proto_cam.(fg_eff) in
@@ -633,12 +632,12 @@ let remove_conn t ~conn =
          invalidate its CAM/CLS/EMEM entries so short-lived flows
          cannot crowd out the working set of established ones. *)
       (match t.guard with
-      | Some g when (Guard.config g).Config.g_evict_caches ->
+      | Some g ->
           Nfp.Cam.remove t.proto_cam.(fg) conn;
           Nfp.Direct_cache.invalidate t.fg_cls.(fg) conn;
           Nfp.Lru.remove t.emem_lru.(fg mod Array.length t.emem_lru) conn;
           Guard.count g "evicted_cache"
-      | _ -> ());
+      | None -> ());
       (match t.san with
       | Some s -> San.flow_forget s ~flow:conn
       | None -> ())
@@ -750,12 +749,12 @@ let arx_flush t acc =
           }
   end
 
-(* Notification entry point. At [b_notify = 1] (or for error
+(* Notification entry point. At batch degree 1 (or for error
    notifications, which must not wait) this is exactly the unbatched
    delivery. Above 1, per-connection notifications accumulate and
    flush on FIN, a full window, or the batch-delay timer. *)
 let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
-  let b = t.cfg.Config.batch.Config.b_notify in
+  let b = t.cfg.Config.batch in
   let conn_idx = cs.Conn_state.idx in
   if b <= 1 || desc.Meta.x_err then begin
     (* An error notification overtaking coalesced data would reorder
@@ -862,7 +861,7 @@ let nbi_out_data t f =
   nbi_out t "nbi/tx_frames" f
 
 (* TSO (§3.4): a descriptor wider than one MSS — only producible at
-   [b_tso > 1], where the protocol stage emits up to [b_tso * mss] per
+   [batch > 1], where the protocol stage emits up to [batch * mss] per
    descriptor — is segmented back into wire frames here at the NBI
    boundary. One egress slot, one credit, [split_count] frames. *)
 let nbi_emit t eg =
@@ -952,11 +951,11 @@ let dma_stage t (w : dma_work) =
   let fpc = next_dma_fpc t in
   let extra = trace_cycles t "dma" in
   (* Doorbell amortization: in batched mode the MMIO ring costs
-     [dma_doorbell] once per [b_doorbell] descriptors instead of being
+     [dma_doorbell] once per [batch] descriptors instead of being
      folded into [dma_desc]. Unbatched mode leaves the counter (and
      the charge) untouched. *)
   let db =
-    let b = t.cfg.Config.batch.Config.b_doorbell in
+    let b = t.cfg.Config.batch in
     if b <= 1 then 0
     else begin
       t.st_dma_work <- t.st_dma_work + 1;
@@ -1077,7 +1076,7 @@ let postproc_stage t fg (w : post_work) =
     match w with
     | Post_rx _ -> c.Config.postproc_rx
     | Post_tx d when d.Meta.t_len > t.cfg.Config.mss ->
-        (* A TSO descriptor ([b_tso > 1] only): laying out the
+        (* A TSO descriptor ([batch > 1] only): laying out the
            per-frame DMA gather list costs [tso_split] per extra wire
            frame on top of the ordinary descriptor work. *)
         c.Config.postproc_tx
@@ -1316,7 +1315,7 @@ let gro_flush t acc =
         gro_submit t ~merged:acc.gc_count merged
   end
 
-(* The RX sequencer's release point. At [b_gro = 1] every segment goes
+(* The RX sequencer's release point. At batch degree 1 every segment goes
    straight through, bit-identically to the unbatched pipeline. Above
    1, adjacent in-sequence data segments of a flow accumulate (the
    sequencer has already put them in arrival order) and flush when the
@@ -1325,7 +1324,7 @@ let gro_flush t acc =
    duplicate-ACK counting must see each one — but they do flush the
    window ahead of themselves so the host's view stays ordered. *)
 let gro_release t (s : Meta.rx_summary) =
-  let b = t.cfg.Config.batch.Config.b_gro in
+  let b = t.cfg.Config.batch in
   if b <= 1 then gro_submit t ~merged:1 s
   else begin
     let pending = Hashtbl.find_opt t.gro_pending s.Meta.conn in
@@ -1591,7 +1590,7 @@ let rx_datapath t frame =
   end
   else rtc_rx t frame
 
-(* Ingress shed policy: when the control path is saturated ([g_cp_queue]
+(* Ingress shed policy: when the control path is saturated ([cp_queue]
    frames already in flight to the CP) drop the newest pure SYNs at the
    NBI. Never anything else — established-flow segments and handshake
    completions always pass, so load shedding degrades accept rate, not
@@ -1600,9 +1599,9 @@ let guard_shed_rx t frame =
   match t.guard with
   | None -> false
   | Some g ->
-      let q = (Guard.config g).Config.g_cp_queue in
       let fl = frame.S.seg.S.flags in
-      if q > 0 && t.cp_pending >= q && fl.S.syn && not fl.S.ack then begin
+      if t.cp_pending >= Config.cp_queue && fl.S.syn && not fl.S.ack then
+      begin
         Guard.count g "shed_queue";
         t.st_drop <- t.st_drop + 1;
         true
@@ -1711,7 +1710,7 @@ let atx_push t ~ctx (d : Meta.hc_desc) =
   | Some g ->
       Guard.note_depth g ~stage:"atx" (Nfp.Ring.length t.atx.(ctx))
   | None -> ());
-  let b = t.cfg.Config.batch.Config.b_doorbell in
+  let b = t.cfg.Config.batch in
   if ok && not t.atx_scheduled.(ctx) then begin
     if b <= 1 || Nfp.Ring.length t.atx.(ctx) >= b then begin
       t.atx_scheduled.(ctx) <- true;
@@ -1962,6 +1961,15 @@ let trace_point_names =
 
 let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
     ?(sabotage = no_sabotage) () =
+  if cfg.Config.batch < 1 then
+    invalid_arg
+      (Printf.sprintf "Datapath.create: batch = %d (must be >= 1)"
+         cfg.Config.batch);
+  (match cfg.Config.scale with
+  | Some { Config.s_shards = n; _ } when n < 1 ->
+      invalid_arg
+        (Printf.sprintf "Datapath.create: s_shards = %d (must be >= 1)" n)
+  | _ -> ());
   let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
   let stages = builtin_stages sabotage in
@@ -1997,8 +2005,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   in
   let groups = max 1 par.Config.flow_groups in
   let threads = max 1 par.Config.fpc_threads in
-  let scale = cfg.Config.scale in
-  let shards = Flow_group.shards_of scale in
+  let shards = Flow_group.shards_of cfg.Config.scale in
   let mk ?(threads = threads) name i =
     Nfp.Fpc.create engine ~params:p ~threads
       ~name:(Printf.sprintf "%s%d" name i)
@@ -2029,12 +2036,12 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
      FlexScope. The cookie secret is derived from the node identity —
      deterministic per node, different across nodes. *)
   let guard =
-    if cfg.Config.guard.Config.g_on then
-      Some
-        (Guard.create ~g:cfg.Config.guard
-           ~secret:(((mac * 0x9E3779B1) lxor (ip * 0x85EBCA6B)) land max_int)
-           ())
-    else None
+    Option.map
+      (fun g ->
+        Guard.create ~g
+          ~secret:(((mac * 0x9E3779B1) lxor (ip * 0x85EBCA6B)) land max_int)
+          ())
+      cfg.Config.guard
   in
   let rec t =
     lazy
@@ -2073,8 +2080,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
               Array.init
                 (max 1 par.Config.postproc_replicas)
                 (fun i -> mk "post" ((g * 10) + i)));
-        dma_fpcs = Array.init (max 1 par.Config.dma_replicas) (mk "dma");
-        ctx_fpcs = Array.init (max 1 par.Config.ctx_replicas) (mk "ctx");
+        dma_fpcs = Array.init Config.dma_replicas (mk "dma");
+        ctx_fpcs = Array.init Config.ctx_replicas (mk "ctx");
         sch_fpc = mk "sch" 0;
         gro_fpc = mk "gro" 0;
         xdp_fpcs = Array.init (3 * groups) (mk "xdp");
@@ -2106,11 +2113,10 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
                      (max 1 (p.Nfp.Params.emem_cache_entries / shards))));
         shards;
         emem_pressure =
-          (if scale.Config.s_on then
-             Some
-               (Nfp.Memory.Pressure.create
-                  ~capacity_flows:scale.Config.s_emem_flows)
-           else None);
+          Option.map
+            (fun sc ->
+              Nfp.Memory.Pressure.create ~capacity_flows:sc.Config.s_emem_flows)
+            cfg.Config.scale;
         rx_gro =
           Sequencer.create ~name:"rx-gro" ~release:(fun s ->
               gro_release (Lazy.force t) s);
@@ -2168,9 +2174,9 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
      1/1 is a no-op, but skipping the call keeps the unbatched engine
      provably untouched). *)
   let b = cfg.Config.batch in
-  if b.Config.b_doorbell > 1 || b.Config.b_completion > 1 then
-    Nfp.Dma.set_batch t.dma ~doorbell:b.Config.b_doorbell
-      ~completion:b.Config.b_completion ~delay:Config.batch_delay;
+  if b > 1 then
+    Nfp.Dma.set_batch t.dma ~doorbell:b ~completion:b
+      ~delay:Config.batch_delay;
   (* Layer 2 wiring: give every execution context an identity and
      every ordering mechanism a happens-before edge. The RTC baseline
      FPC is deliberately left untraced (san is None for it anyway). *)

@@ -71,8 +71,8 @@ val builtin_graph : ?sabotage:sabotage -> config:Config.t -> unit -> Graph_ir.t
 (** FlexProve extraction of the built-in pipeline as actually wired
     under [sabotage] (default healthy): stage slots from
     [config.parallelism], queue capacities from [config.params] and
-    the ring sizes, batch degrees from [config.batch], the CP-queue
-    bound from [config.guard]. [flexlint graph] and the create-time
+    the ring sizes, the batch degree from [config.batch], the CP-queue
+    bound when [config.guard] is set. [flexlint graph] and the create-time
     layer-0 check both go through this. *)
 
 val sabotage_dynamic_only : (string * string) list
@@ -95,7 +95,7 @@ val scope : t -> Sim.Scope.t option
     this option when profiling is off. *)
 
 val guard : t -> Guard.t option
-(** FlexGuard overload control, when enabled ([config.guard.g_on]).
+(** FlexGuard overload control, when enabled ([config.guard] set).
     Like [san] and [scope], a dormant guard is a [None]: no events,
     no counters, bit-identical behavior. *)
 
@@ -109,9 +109,10 @@ val create :
   ?sabotage:sabotage ->
   unit ->
   t
-(** Raises {!Effects.Contract_violation} if the stage set's contracts
-    are statically incompatible (layer 1 fails fast, before any FPC
-    is wired). *)
+(** Raises [Invalid_argument] if [config.batch] or the shard count
+    of [config.scale] is below 1, and {!Effects.Contract_violation} if
+    the stage set's contracts are statically incompatible (layer 1
+    fails fast, before any FPC is wired). *)
 
 val engine : t -> Sim.Engine.t
 val config : t -> Config.t

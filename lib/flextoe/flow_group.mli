@@ -18,7 +18,7 @@ val shard_of_group : int -> shards:int -> int
 val shard_of_flow : Tcp.Flow.t -> groups:int -> shards:int -> int
 (** Composition of the two: the shard a flow steers to. *)
 
-val shards_of : Config.scale -> int
+val shards_of : Config.scale option -> int
 (** Effective shard count: 1 when sharding is off. *)
 
 val shard_of_config : Config.t -> Tcp.Flow.t -> int

@@ -175,17 +175,17 @@ let no_defects =
    and serialization domains as [Datapath.builtin_stages], queue
    capacities from the same sources (Nfp.Params for the NBI pool and
    DMA in-flight window, the 512-slot ATX rings, the 128-descriptor HC
-   pool, [min 256 seg_buffers] scheduler credits), batch degrees from
-   [Config.batch] and the CP-queue bound from [Config.guard]. The two
-   pseudo-nodes [host] (libTOE + applications) and the NBI bracket the
-   PCIe and wire boundaries so payload-ordering obligations are
-   visible to the passes. *)
+   pool, [min 256 seg_buffers] scheduler credits), the batch degree
+   from [Config.batch] and the CP-queue bound {!Config.cp_queue} when
+   [Config.guard] is set. The two pseudo-nodes [host] (libTOE +
+   applications) and the NBI bracket the PCIe and wire boundaries so
+   payload-ordering obligations are visible to the passes. *)
 let builtin ?(defects = no_defects) ~config ~contracts () =
   let open Effects in
   let p = config.Config.params in
   let par = config.Config.parallelism in
   let b = config.Config.batch in
-  let gc = config.Config.guard in
+  let guarded = Option.is_some config.Config.guard in
   let threads = max 1 par.Config.fpc_threads in
   let groups = max 1 par.Config.flow_groups in
   let contract name =
@@ -245,8 +245,8 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
         (max 1 par.Config.proto_replicas * groups * threads);
       node "postproc" (Lp_island 0)
         (max 1 (par.Config.postproc_replicas * groups) * threads);
-      node "dma" Lp_service (max 1 par.Config.dma_replicas * threads);
-      node "ctx" Lp_service (max 1 par.Config.ctx_replicas * threads);
+      node "dma" Lp_service (Config.dma_replicas * threads);
+      node "ctx" Lp_service (Config.ctx_replicas * threads);
       node "sched" Lp_service threads;
       node "nbi" Lp_service 1;
       host;
@@ -287,7 +287,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
            {
              q_capacity = Unbounded;
              q_overflow = Reject;
-             q_batch = b.Config.b_gro;
+             q_batch = b;
              q_bound = Cap "nbi-pool";
            });
       flow "gro" "protocol" "rx-proto" ~lookahead:island_hop;
@@ -307,10 +307,10 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
         ~drain:"batch_delay timer flushes partial batches"
         (Queue
            {
-             q_capacity = Bounded b.Config.b_notify;
+             q_capacity = Bounded b;
              q_overflow = Reject;
-             q_batch = b.Config.b_notify;
-             q_bound = Const b.Config.b_notify;
+             q_batch = b;
+             q_bound = Const b;
            });
       flow "ctx" "host" "arx-notify"
         ~lookahead:p.Nfp.Params.pcie_base_latency;
@@ -321,11 +321,9 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
         (Queue
            {
              q_capacity =
-               (if gc.Config.g_on && gc.Config.g_cp_queue > 0 then
-                  Bounded gc.Config.g_cp_queue
-                else Unbounded);
+               (if guarded then Bounded Config.cp_queue else Unbounded);
              q_overflow =
-               (if gc.Config.g_on && gc.Config.g_cp_queue > 0 then
+               (if guarded then
                   Drop "newest SYNs first, never established-flow segments"
                 else Reject);
              q_batch = 1;
@@ -338,7 +336,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
            {
              q_capacity = Bounded 512;
              q_overflow = Backpressure;
-             q_batch = b.Config.b_doorbell;
+             q_batch = b;
              q_bound = Cap "atx";
            });
       e "ctx" "protocol" "hc-pool" ~lookahead:island_hop
@@ -356,7 +354,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
            {
              q_capacity = Unbounded;
              q_overflow = Reject;
-             q_batch = b.Config.b_tso;
+             q_batch = b;
              q_bound = Sum [ Tokens "seg-credits"; Cap "nbi-pool" ];
            });
     ]

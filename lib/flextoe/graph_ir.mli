@@ -140,7 +140,8 @@ val builtin :
     [Datapath.create] — same stages and serialization domains as
     [Datapath.builtin_stages], queue capacities from the same sources
     ([Nfp.Params], the ATX/HC ring sizes, scheduler credits), batch
-    degrees from [Config.batch], CP-queue bound from [Config.guard].
+    degree from [Config.batch], CP-queue bound {!Config.cp_queue}
+    when [Config.guard] is set.
     Raises [Invalid_argument] if [contracts] lacks a builtin stage. *)
 
 val bound_to_string : bound -> string

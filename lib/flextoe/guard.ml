@@ -79,10 +79,6 @@ let mix h v =
   let h = (h lxor v) * 0x9E3779B1 land max_int in
   (h lxor (h lsr 16)) land max_int
 
-let cookie_epoch_len t =
-  if t.g.Config.g_time_wait > Sim.Time.zero then t.g.Config.g_time_wait
-  else Sim.Time.ms 4
-
 let cookie_of_epoch t ~flow ~epoch =
   let open Tcp.Flow in
   let h = mix t.secret epoch in
@@ -92,10 +88,10 @@ let cookie_of_epoch t ~flow ~epoch =
   Tcp.Seq32.of_int (h land 0x3FFFFFFF)
 
 let cookie_isn t ~now ~flow =
-  cookie_of_epoch t ~flow ~epoch:(now / cookie_epoch_len t)
+  cookie_of_epoch t ~flow ~epoch:(now / Config.time_wait)
 
 let cookie_check t ~now ~flow ~isn =
-  let epoch = now / cookie_epoch_len t in
+  let epoch = now / Config.time_wait in
   Tcp.Seq32.diff isn (cookie_of_epoch t ~flow ~epoch) = 0
   || (epoch > 0
      && Tcp.Seq32.diff isn (cookie_of_epoch t ~flow ~epoch:(epoch - 1)) = 0)
@@ -112,8 +108,8 @@ let tw_find t ~flow =
 let tw_remove t ~flow = Tcp.Flow.Tbl.remove t.tw flow
 
 let tw_add t ~now ~flow ~snd_nxt ~rcv_nxt =
-  let cap = t.g.Config.g_time_wait_max in
-  if cap > 0 && tw_length t >= cap && not (Tcp.Flow.Tbl.mem t.tw flow) then begin
+  if tw_length t >= Config.time_wait_max && not (Tcp.Flow.Tbl.mem t.tw flow)
+  then begin
     (* Pressure: recycle the oldest entry so teardown can't be wedged
        by a full table. *)
     let oldest =
@@ -136,7 +132,7 @@ let tw_add t ~now ~flow ~snd_nxt ~rcv_nxt =
       tw_flow = flow;
       tw_snd_nxt = snd_nxt;
       tw_rcv_nxt = rcv_nxt;
-      tw_deadline = now + t.g.Config.g_time_wait;
+      tw_deadline = now + Config.time_wait;
       tw_born = t.tw_births;
     };
   count t "tw_installed"
@@ -282,26 +278,21 @@ let replay ?(tw_ticks = 1024) (g : Config.guard) events =
       | Ev_close id ->
           if Hashtbl.mem established id then begin
             Hashtbl.remove established id;
-            if g.Config.g_time_wait > Sim.Time.zero then begin
-              (if
-                 g.Config.g_time_wait_max > 0
-                 && Hashtbl.length tw >= g.Config.g_time_wait_max
-               then
-                 let oldest =
-                   Hashtbl.fold
-                     (fun id' exp acc ->
-                       match acc with
-                       | Some (_, e) when e <= exp -> acc
-                       | _ -> Some (id', exp))
-                     tw None
-                 in
-                 match oldest with
-                 | Some (id', _) ->
-                     Hashtbl.remove tw id';
-                     lg := { !lg with lg_tw_recycled = !lg.lg_tw_recycled + 1 }
-                 | None -> ());
-              Hashtbl.replace tw id (tick + tw_ticks)
-            end
+            (if Hashtbl.length tw >= Config.time_wait_max then
+               let oldest =
+                 Hashtbl.fold
+                   (fun id' exp acc ->
+                     match acc with
+                     | Some (_, e) when e <= exp -> acc
+                     | _ -> Some (id', exp))
+                   tw None
+               in
+               match oldest with
+               | Some (id', _) ->
+                   Hashtbl.remove tw id';
+                   lg := { !lg with lg_tw_recycled = !lg.lg_tw_recycled + 1 }
+               | None -> ());
+            Hashtbl.replace tw id (tick + tw_ticks)
           end)
     events;
   !lg

@@ -4,7 +4,7 @@
     data path under connection churn: the SYN-cookie secret, the
     TIME_WAIT table, the accept/shed/evict/reap counters, and the
     per-stage queue-depth high-water marks. Created by the data path
-    when {!Config.guard} has [g_on] set; absent (a [None] option, one
+    when the configuration's [guard] is set; absent (a [None] option, one
     branch per hook) otherwise.
 
     Decisions are pure functions of explicit [now] arguments so the
@@ -54,7 +54,7 @@ val tw_add :
   snd_nxt:Tcp.Seq32.t ->
   rcv_nxt:Tcp.Seq32.t ->
   unit
-(** Install a TIME_WAIT entry; at [g_time_wait_max] capacity the
+(** Install a TIME_WAIT entry; at {!Config.time_wait_max} capacity the
     oldest entry is recycled (counted). *)
 
 val tw_find : t -> flow:Tcp.Flow.t -> (Tcp.Seq32.t * Tcp.Seq32.t) option

@@ -97,13 +97,13 @@ let do_send t sock data =
       sock.tx_tail <- sock.tx_tail + n;
       sock.tx_free <- sock.tx_free - n;
       sock.tx_avail_pending <- sock.tx_avail_pending + n;
-      (* HC-update coalescing (§3.4): at [b_notify > 1] small appends
+      (* HC-update coalescing (§3.4): at [batch > 1] small appends
          accumulate into one Tx_avail doorbell — posted as soon as a
          full segment's worth is pending, or when the batch-delay
          timer fires on a partial window. Degree 1 posts every
          append, exactly as before. *)
       if
-        t.cfg.Config.batch.Config.b_notify <= 1
+        t.cfg.Config.batch <= 1
         || sock.tx_avail_pending >= t.cfg.Config.mss
       then flush_hc t sock
       else if not sock.hc_batch_armed then begin

@@ -27,7 +27,7 @@ let cfg ?(parallelism = Flextoe.Config.default.Flextoe.Config.parallelism)
   {
     Flextoe.Config.default with
     Flextoe.Config.parallelism;
-    batch = Flextoe.Config.batch_of batch;
+    batch;
     (* The digests pin the unguarded pipeline: FLEXGUARD=1 in the
        environment (the churn CI job) must not perturb them. *)
     guard = Flextoe.Config.guard_none;
@@ -41,8 +41,8 @@ let cfg ?(parallelism = Flextoe.Config.default.Flextoe.Config.parallelism)
        scheduler queues, pinned caches) may not perturb a
        single-shard pipeline. *)
     scale =
-      (if scale <= 0 then Flextoe.Config.scale_none
-       else Flextoe.Config.scale_of scale);
+      (if scale <= 0 then None
+       else Some { Flextoe.Config.s_shards = scale; s_emem_flows = 0 });
   }
 
 type run_result = {

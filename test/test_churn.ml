@@ -28,11 +28,11 @@ let test_cookie_roundtrip () =
   check_bool "cookie validates at issue time" true
     (Guard.cookie_check g ~now ~flow ~isn);
   (* Still valid one epoch later (previous-epoch acceptance)... *)
-  let later = now + Config.guard_default.Config.g_time_wait in
+  let later = now + Config.time_wait in
   check_bool "cookie validates next epoch" true
     (Guard.cookie_check g ~now:later ~flow ~isn);
   (* ...but not two epochs later. *)
-  let much_later = now + (3 * Config.guard_default.Config.g_time_wait) in
+  let much_later = now + (3 * Config.time_wait) in
   check_bool "cookie expires after two epochs" false
     (Guard.cookie_check g ~now:much_later ~flow ~isn);
   (* A different 4-tuple never validates. *)
@@ -68,35 +68,30 @@ let test_tw_wraparound () =
     (Guard.tw_syn_acceptable g ~flow:other ~isn:Tcp.Seq32.zero)
 
 let test_tw_capacity_recycles_oldest () =
-  let g =
-    mk_guard ~g:{ Config.guard_default with Config.g_time_wait_max = 4 } ()
-  in
+  let g = mk_guard () in
+  let cap = Config.time_wait_max in
   let flow i =
     Tcp.Flow.v ~local_ip:1 ~local_port:7 ~remote_ip:2 ~remote_port:(100 + i)
   in
-  for i = 0 to 5 do
+  for i = 0 to cap + 1 do
     Guard.tw_add g ~now:(Sim.Time.us i) ~flow:(flow i)
       ~snd_nxt:Tcp.Seq32.zero ~rcv_nxt:Tcp.Seq32.zero
   done;
-  check_int "capacity respected" 4 (Guard.tw_length g);
+  check_int "capacity respected" cap (Guard.tw_length g);
   check_int "two pressure recycles" 2 (Guard.counter g "tw_recycled_pressure");
   check_bool "oldest entries recycled first" true
     (Guard.tw_find g ~flow:(flow 0) = None
     && Guard.tw_find g ~flow:(flow 1) = None
-    && Guard.tw_find g ~flow:(flow 5) <> None);
+    && Guard.tw_find g ~flow:(flow 2) <> None
+    && Guard.tw_find g ~flow:(flow (cap + 1)) <> None);
   (* Expiry reaps the rest. *)
   let past = Sim.Time.ms 1000 in
-  check_int "reap expires remaining entries" 4 (Guard.tw_reap g ~now:past);
+  check_int "reap expires remaining entries" cap (Guard.tw_reap g ~now:past);
   check_int "table empty after reap" 0 (Guard.tw_length g)
 
 let test_replay_backlog_and_cookies () =
   let g =
-    {
-      Config.guard_default with
-      Config.g_syn_backlog = 8;
-      g_max_conns = 0;
-      g_syn_cookies = true;
-    }
+    { Config.g_syn_backlog = 8; g_max_conns = 0; g_syn_cookies = true }
   in
   (* 100 SYNs, none ever ACKed: the first 8 fill the backlog, the rest
      are answered statelessly. Nothing is shed. *)
@@ -114,12 +109,7 @@ let test_replay_backlog_and_cookies () =
 
 let test_replay_established_never_shed () =
   let g =
-    {
-      Config.guard_default with
-      Config.g_syn_backlog = 2;
-      g_max_conns = 4;
-      g_syn_cookies = false;
-    }
+    { Config.g_syn_backlog = 2; g_max_conns = 4; g_syn_cookies = false }
   in
   (* Four established flows exchanging segments under a SYN flood that
      saturates both backlog and admission: every established segment
@@ -135,15 +125,15 @@ let test_replay_established_never_shed () =
   check_int "zero established segments shed" 0 l.Guard.lg_established_shed
 
 let test_replay_close_and_timewait () =
-  let g =
-    { Config.guard_default with Config.g_syn_backlog = 0; g_time_wait_max = 2 }
-  in
+  let g = { Config.guard_default with Config.g_syn_backlog = 0 } in
+  let cap = Config.time_wait_max in
   let conn i = [ Guard.Ev_syn i; Guard.Ev_ack i; Guard.Ev_close i ] in
-  let events = List.concat (List.init 5 conn) in
-  let l = Guard.replay ~tw_ticks:1_000 g events in
-  check_int "five established over the run" 5 l.Guard.lg_established;
-  (* TIME_WAIT capacity 2: three of the five closes recycled an
-     entry. *)
+  let events = List.concat (List.init (cap + 3) conn) in
+  (* A lifetime longer than the trace: no entry expires, so every
+     close past the table's capacity must recycle one. *)
+  let l = Guard.replay ~tw_ticks:(4 * List.length events) g events in
+  check_int "every connection established over the run" (cap + 3)
+    l.Guard.lg_established;
   check_int "time-wait recycles under pressure" 3 l.Guard.lg_tw_recycled
 
 (* --- End-to-end worlds ------------------------------------------------ *)
@@ -161,7 +151,7 @@ type world = {
 }
 
 let guarded_config () =
-  { Config.default with Config.guard = Config.guard_default }
+  { Config.default with Config.guard = Some Config.guard_default }
 
 let mk_world ?(seed = 11L) ?(config = guarded_config ()) () =
   let engine = Sim.Engine.create ~seed () in
@@ -388,8 +378,7 @@ let test_syn_flood_cookies_and_shed () =
     (Guard.counter g "cookie_sent" > 0);
   check_bool "stateful backlog stayed bounded" true
     (Guard.counter g "syn_accepted"
-     <= Config.guard_default.Config.g_syn_backlog
-        * Config.guard_default.Config.g_syn_retries);
+     <= Config.guard_default.Config.g_syn_backlog * Config.syn_retries);
   check_int "nothing established by an open-loop attacker" 0
     (Flextoe.Control_plane.active_flows (Flextoe.control w.server));
   check_int "established-flow segments never shed" 0

@@ -121,8 +121,10 @@ let test_fpc_busy_reporting () =
 
 let test_rtc_uses_only_rtc_fpc () =
   let config =
-    Flextoe.Config.with_parallelism Flextoe.Config.default
-      Flextoe.Config.t3_baseline
+    {
+      Flextoe.Config.default with
+      parallelism = Flextoe.Config.t3_baseline;
+    }
   in
   let engine, a, b = mk_pair ~config () in
   ignore (echo_load engine a b ~conns:2 ~ms:10);
@@ -155,8 +157,9 @@ let test_fast_retx_cc_stats () =
     (fun (mode, par) ->
       let config =
         {
-          (Flextoe.Config.with_parallelism Flextoe.Config.default par) with
-          Flextoe.Config.cc_interval = Sim.Time.sec 1.;
+          Flextoe.Config.default with
+          parallelism = par;
+          cc_interval = Sim.Time.sec 1.;
         }
       in
       let engine, a, b = mk_pair ~config () in
@@ -212,6 +215,30 @@ let test_fast_retx_cc_stats () =
       ("rtc", Flextoe.Config.t3_baseline);
     ]
 
+(* Degrees below 1 are configuration errors, rejected up front by
+   [Datapath.create] rather than silently clamped or left to fail
+   deep inside the wiring. *)
+let test_create_rejects_degrees () =
+  let rejects name config =
+    let engine = Sim.Engine.create () in
+    let fabric = Netsim.Fabric.create engine () in
+    match
+      Flextoe.Datapath.create engine ~config ~fabric ~mac:1 ~ip:ip_a ()
+    with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+        check_bool
+          (Printf.sprintf "%s rejected by Datapath.create (%s)" name msg)
+          true
+          (String.starts_with ~prefix:"Datapath.create" msg)
+  in
+  rejects "batch = 0" { Flextoe.Config.default with batch = 0 };
+  rejects "s_shards = 0"
+    {
+      Flextoe.Config.default with
+      scale = Some { Flextoe.Config.s_shards = 0; s_emem_flows = 0 };
+    }
+
 let suite =
   [
     Alcotest.test_case "connection database lookup" `Quick test_has_flow;
@@ -227,6 +254,8 @@ let suite =
     Alcotest.test_case "segment conservation" `Quick test_stats_consistency;
     Alcotest.test_case "fast retransmit reaches CC stats" `Quick
       test_fast_retx_cc_stats;
+    Alcotest.test_case "create rejects degrees below 1" `Quick
+      test_create_rejects_degrees;
   ]
 
 (* VLAN-tagged ingress end to end: without the strip module, tagged
@@ -235,9 +264,7 @@ let suite =
 let test_vlan_ingress () =
   let run ?(parallelism = Flextoe.Config.t3_flow_groups)
       ?(payload = Bytes.empty) with_strip =
-    let config =
-      Flextoe.Config.with_parallelism Flextoe.Config.default parallelism
-    in
+    let config = { Flextoe.Config.default with parallelism } in
     let engine, a, b = mk_pair ~config () in
     if with_strip then begin
       let vs = Flextoe.Ext_vlan.create engine in

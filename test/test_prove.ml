@@ -123,8 +123,8 @@ let test_effects_escapes () =
 let cfg ?(batch = 1) ?(guard = false) () =
   {
     Config.default with
-    Config.batch = Config.batch_of batch;
-    guard = (if guard then Config.guard_default else Config.guard_none);
+    Config.batch;
+    guard = (if guard then Some Config.guard_default else Config.guard_none);
   }
 
 let test_builtin_graph_clean () =

@@ -306,7 +306,7 @@ let test_healthy_pipeline_clean () =
 
 let test_rtc_mode_no_san () =
   let config =
-    Flextoe.Config.with_parallelism san_config Flextoe.Config.t3_baseline
+    { san_config with Flextoe.Config.parallelism = Flextoe.Config.t3_baseline }
   in
   let _, a, _ = echo_pair ~config ~conns:1 ~pipeline:2 ~ms:5 () in
   check_bool "run-to-completion mode leaves the sanitizer off" true
