@@ -1,16 +1,12 @@
-(* PR5 batching sweep and CI regression gate.
+(* Batching sweep and its regression gate.
 
    Fixed-seed memcached-style workload on FlexTOE at uniform batching
-   degrees 1/2/4/8. Two verdicts:
+   degrees 1/2/4/8. Two verdicts (bench_gate batch, record
+   bench/records/batch.json):
 
-   - batch=1 throughput must stay within 5% of the checked-in
-     baseline (bench/BENCH_baseline_pr5.json) — the batching machinery
-     may not tax the unbatched pipeline;
-   - batch=8 must beat batch=1 — coalescing has to actually pay.
-
-   [run] prints the sweep table (harness mode); [gate] additionally
-   writes BENCH_pr5.json and exits non-zero on a regression (CI
-   mode, via bench/bench_gate.exe). *)
+   - batch=1 throughput must stay within 5% of the record — the
+     batching machinery may not tax the unbatched pipeline;
+   - batch=8 must beat batch=1 — coalescing has to actually pay. *)
 
 open Common
 
@@ -42,15 +38,22 @@ let measure_degree b =
   measure w ~warmup:(Sim.Time.ms 8) ~window:(Sim.Time.ms 15) [ stats ];
   Host.Rpc.Stats.mops stats
 
-let sweep () = List.map (fun b -> (b, measure_degree b)) degrees
-
 let print_table results =
   columns (List.map (fun (b, _) -> Printf.sprintf "b=%d" b) results);
   row_of_floats "FlexTOE mOps" (List.map snd results)
 
+let degree (b, _) = Printf.sprintf "b%d" b
+
+(* Degree 1 is the regression anchor, within 5% of its record; the
+   prove gate records the same metrics. *)
+let mops_metrics =
+  Record.series ~key:degree
+    ~bound:(fun (b, _) -> if b = 1 then Some 0.05 else None)
+    "mops" "Mops" Record.Higher snd
+
 let run () =
   header "Batch sweep: throughput vs uniform batching degree";
-  let results = sweep () in
+  let results = List.map (fun b -> (b, measure_degree b)) degrees in
   print_table results;
   let at b = List.assoc b results in
   log_result ~experiment:"batch"
@@ -58,9 +61,18 @@ let run () =
     (at 8)
     (at 8 /. at 1);
   note "degree 1 is bit-identical to the unbatched seed pipeline;";
-  note "gains come from amortized doorbells, GRO merges, ARX coalescing."
+  note "gains come from amortized doorbells, GRO merges, ARX coalescing.";
+  {
+    Record.workload = "kv 32x32, 2 clients, seed 42";
+    metrics = mops_metrics results;
+    checks =
+      [
+        Record.check "batch=8" (at 8 > at 1) "%.2f mOps = %.2fx batch=1" (at 8)
+          (at 8 /. at 1);
+      ];
+  }
 
-(* --- PR9: conservative-parallel speedup -------------------------------- *)
+(* --- FlexPar: conservative-parallel speedup ------------------------------ *)
 
 (* The four batch-degree worlds are independent (disjoint fabrics), so
    they make an embarrassingly-parallel cluster: one LP per degree, no
@@ -98,159 +110,50 @@ let par_sweep ~domains =
     wall,
     Cl.workers_used cl )
 
-let write_par_json path ~cores ~workers ~wall1 ~walln ~speedup ~threshold
-    ~deterministic results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"par_speedup_pr9\",\n";
-      output_string oc
-        "  \"workload\": \"4 kv batch-degree worlds as cluster LPs, seed \
-         42\",\n";
-      Printf.fprintf oc "  \"cores\": %d,\n" cores;
-      Printf.fprintf oc "  \"workers\": %d,\n" workers;
-      Printf.fprintf oc
-        "  \"wall_s\": { \"domains_1\": %.3f, \"domains_8\": %.3f },\n" wall1
-        walln;
-      Printf.fprintf oc "  \"speedup\": %.3f,\n" speedup;
-      Printf.fprintf oc "  \"threshold\": %.3f,\n" threshold;
-      Printf.fprintf oc "  \"deterministic\": %b,\n" deterministic;
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i (b, v) ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" b v
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  }\n}\n")
-
-let par_results () =
-  let r1, wall1, _ = par_sweep ~domains:1 in
+let run_par () =
+  header "FlexPar speedup: 4 batch-degree worlds as conservative LPs";
+  let results, wall1, _ = par_sweep ~domains:1 in
   let rn, walln, workers = par_sweep ~domains:8 in
   let deterministic =
-    List.for_all2 (fun (b, a) (b', c) -> b = b' && a = c) r1 rn
+    List.for_all2 (fun (b, a) (b', c) -> b = b' && a = c) results rn
   in
   let cores = Domain.recommended_domain_count () in
-  let n_lps = List.length degrees in
   let speedup = wall1 /. Float.max walln 1e-9 in
   (* Ideal speedup is bounded by whichever is scarcest: requested
      domains, physical cores, or the 4 LPs there are to spread. Gate
-     at 75% of that bound, capped at the 3x the issue asks for (on a
-     >=4-core box the bound is 4, so the gate is exactly 3x). *)
-  let w = min (min 8 cores) n_lps in
-  let threshold = Float.min 3.0 (0.75 *. float_of_int w) in
-  (r1, wall1, walln, workers, cores, deterministic, speedup, threshold)
-
-let print_par ~cores ~workers ~wall1 ~walln ~speedup ~threshold results =
+     at 75% of that bound, capped at 3x (on a >=4-core box the bound
+     is 4, so the gate is exactly 3x). *)
+  let threshold =
+    Float.min 3.0
+      (0.75 *. float_of_int (min (min 8 cores) (List.length degrees)))
+  in
   columns (List.map (fun (b, _) -> Printf.sprintf "b=%d" b) results);
   row_of_floats "mOps (par)" (List.map snd results);
   Printf.printf
     "  domains=1 %.2fs, domains=8 %.2fs -> %.2fx (threshold %.2fx; %d \
      worker(s), %d core(s))\n"
-    wall1 walln speedup threshold workers cores
-
-let run_par () =
-  header "FlexPar speedup: 4 batch-degree worlds as conservative LPs";
-  let results, wall1, walln, workers, cores, deterministic, speedup, threshold
-      =
-    par_results ()
-  in
-  print_par ~cores ~workers ~wall1 ~walln ~speedup ~threshold results;
+    wall1 walln speedup threshold workers cores;
   log_result ~experiment:"par"
     "domains=8 runs the 4-LP cluster %.2fx faster than domains=1 \
      (bit-identical mOps: %b)"
     speedup deterministic;
   note "each LP is an isolated seeded world: results are bit-identical";
-  note "across domain counts; only wall-clock changes."
-
-let par_gate ~baseline:_ ~out () =
-  header "FlexPar speedup gate";
-  let results, wall1, walln, workers, cores, deterministic, speedup, threshold
-      =
-    par_results ()
-  in
-  print_par ~cores ~workers ~wall1 ~walln ~speedup ~threshold results;
-  write_par_json out ~cores ~workers ~wall1 ~walln ~speedup ~threshold
-    ~deterministic results;
-  Printf.printf "wrote %s\n" out;
-  let ok = ref true in
-  if deterministic then
-    Printf.printf "OK   determinism          mOps bit-identical at domains=1 and 8\n"
-  else begin
-    Printf.printf "FAIL determinism          mOps differ across domain counts\n";
-    ok := false
-  end;
-  if speedup >= threshold then
-    Printf.printf "OK   speedup              %.2fx >= %.2fx\n" speedup threshold
-  else begin
-    Printf.printf "FAIL speedup              %.2fx < %.2fx\n" speedup threshold;
-    ok := false
-  end;
-  !ok
-
-(* --- JSON in/out ----------------------------------------------------- *)
-
-let write_json path results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"batch_sweep_pr5\",\n";
-      output_string oc "  \"workload\": \"kv 32x32, 2 clients, seed 42\",\n";
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i (b, v) ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" b v
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  }\n}\n")
-
-let read_baseline path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
-      match Sim.Json.of_string s with
-      | Error e -> Error e
-      | Ok j -> (
-          match
-            Option.bind (Sim.Json.member "mops" j) (fun m ->
-                Option.bind (Sim.Json.member "1" m) Sim.Json.to_float_opt)
-          with
-          | Some v -> Ok v
-          | None -> Error "missing mops.1"))
-
-let gate ~baseline ~out () =
-  let results = sweep () in
-  print_table results;
-  write_json out results;
-  Printf.printf "wrote %s\n" out;
-  let b1 = List.assoc 1 results and b8 = List.assoc 8 results in
-  let ok = ref true in
-  (match read_baseline baseline with
-  | Error e ->
-      Printf.printf "FAIL baseline             %s: %s\n" baseline e;
-      ok := false
-  | Ok base1 ->
-      if b1 < 0.95 *. base1 then begin
-        Printf.printf
-          "FAIL batch=1              %.2f mOps < 95%% of baseline %.2f\n" b1
-          base1;
-        ok := false
-      end
-      else
-        Printf.printf "OK   batch=1              %.2f mOps (baseline %.2f)\n"
-          b1 base1);
-  if b8 <= b1 then begin
-    Printf.printf "FAIL batch=8              %.2f mOps <= batch=1 %.2f\n" b8
-      b1;
-    ok := false
-  end
-  else
-    Printf.printf "OK   batch=8              %.2f mOps = %.2fx batch=1\n" b8
-      (b8 /. b1);
-  !ok
+  note "across domain counts; only wall-clock changes.";
+  {
+    Record.workload = "4 kv batch-degree worlds as cluster LPs, seed 42";
+    metrics =
+      Record.series ~key:degree "mops" "Mops" Record.Higher snd results
+      @ [
+          Record.metric "wall_s.domains_1" "s" Record.Lower wall1;
+          Record.metric "wall_s.domains_8" "s" Record.Lower walln;
+          Record.metric "speedup" "x" Record.Higher speedup;
+        ];
+    checks =
+      [
+        Record.check "determinism" deterministic "%s"
+          (if deterministic then "mOps bit-identical at domains=1 and 8"
+           else "mOps differ across domain counts");
+        Record.check "speedup" (speedup >= threshold) "%.2fx (threshold %.2fx)"
+          speedup threshold;
+      ];
+  }

@@ -1,4 +1,4 @@
-(* PR6 churn sweep and CI regression gate (Fig. 14 flavor).
+(* Churn sweep and its regression gate (Fig. 14 flavor).
 
    A guarded FlexTOE server carries an established KV workload while
    an open-loop attacker SYN-floods the service port at 0/1/3/10x a
@@ -8,13 +8,10 @@
    shed SYNs) plus the bound that must never break: zero
    established-flow segments shed.
 
-   [run] prints the sweep table (harness mode); [gate] additionally
-   writes BENCH_pr6.json and exits non-zero on a regression (CI mode,
-   via bench/bench_gate.exe):
+   Verdicts (bench_gate churn, record bench/records/churn.json):
 
-   - flood-free goodput within 5% of the checked-in baseline
-     (bench/BENCH_baseline_pr6.json);
-   - retention at 10x at or above the baseline's retention_floor;
+   - flood-free goodput within 5% of the record;
+   - retention at 10x at or above [retention_floor];
    - established_shed identically 0 at every multiplier;
    - per-stage peak queue depths bounded (cp peak <= Config.cp_queue). *)
 
@@ -23,6 +20,9 @@ open Common
 let kv_port = 11211
 let base_rate_pps = 50_000
 let multipliers = [ 0; 1; 3; 10 ]
+
+(* Established goodput under a 10x flood, as a share of flood-free. *)
+let retention_floor = 0.80
 
 type outcome = {
   c_mult : int;
@@ -106,8 +106,6 @@ let measure_mult mult =
     c_sched_peak = Flextoe.Datapath.sched_peak_ready sdp;
   }
 
-let sweep () = List.map measure_mult multipliers
-
 let print_table results =
   let base =
     match results with o :: _ -> o.c_mops | [] -> nan
@@ -127,117 +125,46 @@ let print_table results =
 
 let run () =
   header "Churn: established goodput under SYN flood (FlexGuard armed)";
-  let results = sweep () in
+  let results = List.map measure_mult multipliers in
   let base = print_table results in
-  let at m = List.find (fun o -> o.c_mult = m) results in
-  log_result ~experiment:"churn"
-    "established goodput under 10x SYN flood: %.0f%% of flood-free (floor \
-     80%%); %d flood SYNs answered with %d cookies, %d shed, 0 established \
-     segments shed"
-    (100. *. (at 10).c_mops /. base)
-    (at 10).c_syns (at 10).c_cookies (at 10).c_shed;
-  note "the attacker is open-loop: cookies cost no backlog state;";
-  note "shed policy drops newest SYNs first, never established-flow segments."
-
-(* --- JSON in/out ----------------------------------------------------- *)
-
-let write_json path results =
-  let base = (List.hd results).c_mops in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"churn_sweep_pr6\",\n";
-      output_string oc
-        "  \"workload\": \"kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps, \
-         seed 42\",\n";
-      output_string oc "  \"retention_floor\": 0.80,\n";
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i o ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" o.c_mult o.c_mops
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  },\n  \"retention\": {\n";
-      List.iteri
-        (fun i o ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" o.c_mult (o.c_mops /. base)
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  },\n  \"established_shed\": ";
-      Printf.fprintf oc "%d\n}\n"
-        (List.fold_left (fun a o -> a + o.c_est_shed) 0 results))
-
-let read_baseline path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
-      match Sim.Json.of_string s with
-      | Error e -> Error e
-      | Ok j -> (
-          let f path' =
-            List.fold_left
-              (fun acc k -> Option.bind acc (Sim.Json.member k))
-              (Some j) path'
-            |> Fun.flip Option.bind Sim.Json.to_float_opt
-          in
-          match (f [ "mops"; "0" ], f [ "retention_floor" ]) with
-          | Some m0, Some floor -> Ok (m0, floor)
-          | _ -> Error "missing mops.0 or retention_floor"))
-
-let gate ~baseline ~out () =
-  let results = sweep () in
-  let base = print_table results in
-  write_json out results;
-  Printf.printf "wrote %s\n" out;
   let at m = List.find (fun o -> o.c_mult = m) results in
   let retention10 = (at 10).c_mops /. base in
-  let ok = ref true in
-  (match read_baseline baseline with
-  | Error e ->
-      Printf.printf "FAIL baseline             %s: %s\n" baseline e;
-      ok := false
-  | Ok (base0, floor) ->
-      if base < 0.95 *. base0 then begin
-        Printf.printf
-          "FAIL flood-free           %.2f mOps < 95%% of baseline %.2f\n" base
-          base0;
-        ok := false
-      end
-      else
-        Printf.printf "OK   flood-free           %.2f mOps (baseline %.2f)\n"
-          base base0;
-      if retention10 < floor then begin
-        Printf.printf "FAIL retention@10x        %.0f%% < floor %.0f%%\n"
-          (100. *. retention10) (100. *. floor);
-        ok := false
-      end
-      else
-        Printf.printf "OK   retention@10x        %.0f%% (floor %.0f%%)\n"
-          (100. *. retention10) (100. *. floor));
   let est_shed = List.fold_left (fun a o -> a + o.c_est_shed) 0 results in
-  if est_shed > 0 then begin
-    Printf.printf "FAIL established-shed     %d segments (must be 0)\n"
-      est_shed;
-    ok := false
-  end
-  else Printf.printf "OK   established-shed     0 segments at every multiplier\n";
-  let unbounded =
-    List.filter (fun o -> o.c_cp_bound > 0 && o.c_cp_peak > o.c_cp_bound)
-      results
+  log_result ~experiment:"churn"
+    "established goodput under 10x SYN flood: %.0f%% of flood-free (floor \
+     %.0f%%); %d flood SYNs answered with %d cookies, %d shed, %d \
+     established segments shed"
+    (100. *. retention10) (100. *. retention_floor) (at 10).c_syns
+    (at 10).c_cookies (at 10).c_shed est_shed;
+  note "the attacker is open-loop: cookies cost no backlog state;";
+  note "shed policy drops newest SYNs first, never established-flow segments.";
+  let per ?bound name unit better f =
+    Record.series ?bound ~key:(fun o -> Printf.sprintf "x%d" o.c_mult) name
+      unit better f results
   in
-  if unbounded <> [] then begin
-    List.iter
-      (fun o ->
-        Printf.printf "FAIL cp-queue bound       x%d peak %d > bound %d\n"
-          o.c_mult o.c_cp_peak o.c_cp_bound)
-      unbounded;
-    ok := false
-  end
-  else Printf.printf "OK   cp-queue bound       peaks within cp_queue\n";
-  !ok
+  {
+    Record.workload = "kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps, seed 42";
+    metrics =
+      (* Flood-free goodput is the regression anchor. *)
+      per ~bound:(fun o -> if o.c_mult = 0 then Some 0.05 else None)
+        "mops" "Mops" Record.Higher (fun o -> o.c_mops)
+      @ per "retention" "ratio" Record.Higher (fun o -> o.c_mops /. base)
+      @ per "cp_peak" "frames" Record.Lower (fun o -> float_of_int o.c_cp_peak)
+      @ [
+          Record.metric "established_shed" "segments" Record.Lower
+            (float_of_int est_shed);
+        ];
+    checks =
+      Record.check "retention@10x" (retention10 >= retention_floor)
+        "%.0f%% (floor %.0f%%)" (100. *. retention10)
+        (100. *. retention_floor)
+      :: Record.check "established-shed" (est_shed = 0)
+           "%d segments over all multipliers (must be 0)" est_shed
+      :: List.map
+           (fun o ->
+             Record.check
+               (Printf.sprintf "cp-queue x%d" o.c_mult)
+               (o.c_cp_peak <= o.c_cp_bound)
+               "peak %d (bound %d)" o.c_cp_peak o.c_cp_bound)
+           results;
+  }

@@ -1,4 +1,4 @@
-(* PR7 FlexProve overhead check.
+(* FlexProve overhead check.
 
    The layer-0 graph passes run once per [Datapath.create]; steady
    state must not pay for them. Two measurements:
@@ -6,11 +6,10 @@
    - the cost of one full [Prove.check_graph] over the extracted
      builtin graph, amortized over many iterations — the one-time
      price every node construction pays;
-   - kv 32x32 steady-state throughput at batch 1 and 8 (the PR5 gate
-     workload, create-time checks now in the path), against the
-     checked-in PR5 baseline.
-
-   Writes BENCH_pr7.json next to the other sweep artifacts. *)
+   - kv 32x32 steady-state throughput at batch 1 and 8 (the batch
+     gate's workload, create-time checks now in the path). bench_gate
+     prove holds batch 1 within 5% of bench/records/prove.json, which
+     was pinned before the checks were added. *)
 
 open Common
 
@@ -26,33 +25,6 @@ let check_micros ~iters =
   done;
   1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int iters
 
-let out_path () =
-  if Sys.file_exists "bench" && Sys.is_directory "bench" then
-    "bench/BENCH_pr7.json"
-  else "BENCH_pr7.json"
-
-let write_json path ~micros ~results ~base1 =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"prove_overhead_pr7\",\n";
-      output_string oc
-        "  \"workload\": \"kv 32x32, 2 clients, seed 42, create-time \
-         FlexProve checks in the path\",\n";
-      Printf.fprintf oc "  \"check_micros\": %.2f,\n" micros;
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i (b, v) ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" b v
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  },\n";
-      Printf.fprintf oc "  \"baseline_mops_1\": %.4f,\n" base1;
-      Printf.fprintf oc "  \"ratio_vs_baseline\": %.4f\n"
-        (List.assoc 1 results /. base1);
-      output_string oc "}\n")
-
 let run () =
   header "FlexProve overhead: create-time graph checks vs steady state";
   let micros = check_micros ~iters:1000 in
@@ -62,32 +34,16 @@ let run () =
   let results =
     List.map (fun b -> (b, Batch_sweep.measure_degree b)) [ 1; 8 ]
   in
-  columns (List.map (fun (b, _) -> Printf.sprintf "b=%d" b) results);
-  row_of_floats "FlexTOE mOps" (List.map snd results);
-  let base1 =
-    match Batch_sweep.read_baseline "bench/BENCH_baseline_pr5.json" with
-    | Ok v -> v
-    | Error _ -> (
-        match Batch_sweep.read_baseline "BENCH_baseline_pr5.json" with
-        | Ok v -> v
-        | Error e ->
-            Printf.printf "  note: no PR5 baseline (%s); ratio vs self\n" e;
-            List.assoc 1 results)
-  in
-  let out = out_path () in
-  write_json out ~micros ~results ~base1;
-  Printf.printf "  wrote %s\n" out;
-  let r = List.assoc 1 results /. base1 in
+  Batch_sweep.print_table results;
   log_result ~experiment:"prove"
-    "create-time checks %.1f us once per node; steady state %.2f mOps = \
-     %.1f%% of pre-FlexProve baseline"
-    micros (List.assoc 1 results) (100. *. r);
-  if r < 0.95 then begin
-    Printf.printf
-      "FAIL steady-state         %.2f mOps < 95%% of baseline %.2f\n"
-      (List.assoc 1 results) base1;
-    exit 1
-  end
-  else
-    Printf.printf "OK   steady-state         %.2f mOps (baseline %.2f)\n"
-      (List.assoc 1 results) base1
+    "create-time checks %.1f us once per node; steady state %.2f mOps"
+    micros (List.assoc 1 results);
+  {
+    Record.workload =
+      "kv 32x32, 2 clients, seed 42, create-time FlexProve checks in the \
+       path";
+    metrics =
+      Record.metric "check_micros" "us" Record.Lower micros
+      :: Batch_sweep.mops_metrics results;
+    checks = [];
+  }

@@ -1,4 +1,4 @@
-(* PR10 FlexScale sweep and CI regression gate.
+(* FlexScale sweep and its regression gate.
 
    Fig-14-style open-loop connection-scalability sweep on the sharded
    datapath: each point installs F connections (bulk state install,
@@ -10,7 +10,7 @@
    cluster LPs (one seeded world per point), so the whole sweep is
    deterministic and parallel.
 
-   Gates ([gate], CI mode via bench/bench_gate.exe scale):
+   Verdicts (bench_gate scale, record bench/records/scale.json):
 
    - completion: every offered segment completes within the horizon at
      every point, up to >= 1M connections;
@@ -27,8 +27,8 @@
      entry is pinned, so they are expected (EXPERIMENTS.md); the
      cold-before-pinned guarantee is pinned by the eviction-oracle
      unit tests;
-   - regression: the 16K point must stay within 5% of the checked-in
-     baseline (bench/BENCH_baseline_pr10.json).
+   - regression: the first (16K) point must stay within 5% of its
+     record.
 
    [FLEXSCALE_MAX_CONNS] caps the connection axis (CI runs a reduced
    100K sweep; the full 1M point runs locally / in the scale job). *)
@@ -242,111 +242,57 @@ let run () =
   let pts = sweep () in
   print_table pts;
   let first = List.hd pts and last = List.nth pts (List.length pts - 1) in
+  let m0 = point_mops first and mn = point_mops last in
   log_result ~experiment:"scale"
     "%d conns: %.2f mOps = %.2fx the %d-conn point; %d B/flow EMEM state"
-    last.pt_flows (point_mops last)
-    (point_mops last /. Float.max (point_mops first) 1e-9)
+    last.pt_flows mn
+    (mn /. Float.max m0 1e-9)
     first.pt_flows
     (F.Datapath.emem_bytes_per_flow last.pt_dp);
   note "per-flow state shards across %d pipelines; misses past the"
     shards;
-  note "%d-flow EMEM working set pay the DRAM penalty." emem_capacity_flows
-
-(* --- JSON in/out ----------------------------------------------------- *)
-
-let write_json path pts =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"scale_sweep_pr10\",\n";
-      Printf.fprintf oc
-        "  \"workload\": \"open-loop %d x %d B segments round-robin, \
-         shards %d, seed 42\",\n"
-        inject_total payload_bytes shards;
-      Printf.fprintf oc "  \"shards\": %d,\n" shards;
-      let section name f last_sep =
-        Printf.fprintf oc "  \"%s\": {\n" name;
-        List.iteri
-          (fun i pt ->
-            Printf.fprintf oc "    \"%d\": %s%s\n" pt.pt_flows (f pt)
-              (if i = List.length pts - 1 then "" else ","))
-          pts;
-        Printf.fprintf oc "  }%s\n" last_sep
-      in
-      section "mops" (fun pt -> Printf.sprintf "%.4f" (point_mops pt)) ",";
-      section "bytes_per_flow"
-        (fun pt ->
-          string_of_int (F.Datapath.emem_bytes_per_flow pt.pt_dp))
-        ",";
-      section "completed" (fun pt -> string_of_int pt.pt_done) "";
-      output_string oc "}\n")
-
-let read_baseline path ~flows =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
-      match Sim.Json.of_string s with
-      | Error e -> Error e
-      | Ok j -> (
-          match
-            Option.bind (Sim.Json.member "mops" j) (fun m ->
-                Option.bind
-                  (Sim.Json.member (string_of_int flows) m)
-                  Sim.Json.to_float_opt)
-          with
-          | Some v -> Ok v
-          | None ->
-              Error (Printf.sprintf "missing mops.%d" flows)))
-
-let gate ~baseline ~out () =
-  header
-    (Printf.sprintf "FlexScale gate: open-loop sweep (shards=%d)" shards);
-  let pts = sweep () in
-  print_table pts;
-  write_json out pts;
-  Printf.printf "wrote %s\n" out;
-  let ok = ref true in
-  let pass fmt = Printf.printf ("OK   " ^^ fmt ^^ "\n") in
-  let fail fmt =
-    ok := false;
-    Printf.printf ("FAIL " ^^ fmt ^^ "\n")
+  note "%d-flow EMEM working set pay the DRAM penalty." emem_capacity_flows;
+  let per ?bound name unit better f =
+    Record.series ?bound ~key:(fun pt -> string_of_int pt.pt_flows) name unit
+      better f pts
   in
-  List.iter
-    (fun pt ->
-      if pt.pt_done < inject_total then
-        fail "completion %8d     %d/%d segments within horizon" pt.pt_flows
-          pt.pt_done inject_total;
-      let bpf = F.Datapath.emem_bytes_per_flow pt.pt_dp in
-      if bpf <= 0 || bpf > 128 then
-        fail "bytes/flow %8d     %d B outside (0, 128]" pt.pt_flows bpf;
-      let cross = F.Datapath.cross_shard_accesses pt.pt_dp in
-      if cross > 0 then
-        fail "isolation %8d      %d cross-shard conn-state accesses"
-          pt.pt_flows cross)
-    pts;
-  if !ok then
-    pass "per-point              all points complete; <=128 B/flow; no \
-          cross-shard access";
-  let first = List.hd pts and last = List.nth pts (List.length pts - 1) in
-  let m0 = point_mops first and mn = point_mops last in
-  if mn >= 0.9 *. m0 then
-    pass "steady-state           %.2f mOps at %d conns >= 90%% of %.2f at %d"
-      mn last.pt_flows m0 first.pt_flows
-  else
-    fail "steady-state           %.2f mOps at %d conns < 90%% of %.2f at %d"
-      mn last.pt_flows m0 first.pt_flows;
-  (match read_baseline baseline ~flows:first.pt_flows with
-  | Error e -> fail "baseline               %s: %s" baseline e
-  | Ok base ->
-      if m0 >= 0.95 *. base then
-        pass "baseline               %.2f mOps (baseline %.2f)" m0 base
-      else
-        fail "baseline               %.2f mOps < 95%% of baseline %.2f" m0
-          base);
-  !ok
+  {
+    Record.workload =
+      Printf.sprintf
+        "open-loop %d x %d B segments round-robin, shards %d, seed 42"
+        inject_total payload_bytes shards;
+    metrics =
+      (* The first point is the regression anchor. *)
+      per ~bound:(fun pt -> if pt == first then Some 0.05 else None)
+        "mops" "Mops" Record.Higher point_mops
+      @ per "bytes_per_flow" "B" Record.Lower (fun pt ->
+            float_of_int (F.Datapath.emem_bytes_per_flow pt.pt_dp))
+      @ per "completed" "segments" Record.Higher (fun pt ->
+            float_of_int pt.pt_done)
+      @ per "cross_shard" "accesses" Record.Lower (fun pt ->
+            float_of_int (F.Datapath.cross_shard_accesses pt.pt_dp));
+    checks =
+      List.concat_map
+        (fun pt ->
+          let bpf = F.Datapath.emem_bytes_per_flow pt.pt_dp in
+          let cross = F.Datapath.cross_shard_accesses pt.pt_dp in
+          [
+            Record.check
+              (Printf.sprintf "completion %d" pt.pt_flows)
+              (pt.pt_done >= inject_total)
+              "%d/%d segments within horizon" pt.pt_done inject_total;
+            Record.check
+              (Printf.sprintf "bytes/flow %d" pt.pt_flows)
+              (bpf > 0 && bpf <= 128)
+              "%d B (must be in (0, 128])" bpf;
+            Record.check
+              (Printf.sprintf "isolation %d" pt.pt_flows)
+              (cross = 0) "%d cross-shard conn-state accesses" cross;
+          ])
+        pts
+      @ [
+          Record.check "steady-state" (mn >= 0.9 *. m0)
+            "%.2f mOps at %d conns vs %.2f at %d (floor 90%%)" mn
+            last.pt_flows m0 first.pt_flows;
+        ];
+  }

@@ -208,9 +208,10 @@ let output_name = function
   | Out_free -> "free"
 
 (* Total transition function. [guard] arms the FlexGuard-only events
-   (RST handling, idle reaper); [tw] says a TIME_WAIT hold is
-   configured (a guarded control plane always holds one). Events that
-   do not apply in a state are no-ops: [(s, [])]. The abort path ([Ev_rst]/[Ev_abort]) always
+   (RST handling, idle reaper) and the TIME_WAIT hold: a guarded
+   control plane parks every torn-down tuple, an unguarded one
+   reclaims it at once. Events that do not apply in a state are
+   no-ops: [(s, [])]. The abort path ([Ev_rst]/[Ev_abort]) always
    notifies — the application must learn the connection died — except
    in TIME_WAIT, where an RST is ignored (RFC 1337: TIME-WAIT
    assassination refused). The reaper exempts Established (the
@@ -219,7 +220,7 @@ let output_name = function
    of the reaped states, Fin_wait_2 and Closed are orphans — our FIN
    was acked, every byte delivered — reclaimed quietly, while
    Fin_wait_1/Closing mean a vanished peer, a genuine abort. *)
-let step ~guard ~tw state event =
+let step ~guard state event =
   let abort = (Reclaimed, [ Out_notify_err; Out_free ]) in
   let stay = (state, []) in
   match (state, event) with
@@ -243,7 +244,7 @@ let step ~guard ~tw state event =
   | Phase Closing, Ev_abort -> abort
   | Phase Closing, Ev_reap_idle when guard -> abort
   | Phase Closed, Ev_teardown ->
-      if tw then (Time_wait, [ Out_enter_tw; Out_free ])
+      if guard then (Time_wait, [ Out_enter_tw; Out_free ])
       else (Reclaimed, [ Out_free ])
   | Phase Closed, Ev_rst when guard -> abort
   | Phase Closed, Ev_reap_idle when guard -> (Reclaimed, [ Out_free ])

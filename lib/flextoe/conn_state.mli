@@ -156,12 +156,10 @@ val event_name : close_event -> string
 val output_name : close_output -> string
 
 val step :
-  guard:bool -> tw:bool -> lifecycle -> close_event ->
-  lifecycle * close_output list
+  guard:bool -> lifecycle -> close_event -> lifecycle * close_output list
 (** Total: events that do not apply in a state are no-ops [(s, [])].
     [guard] arms the FlexGuard-only events (RST handling, idle
-    reaper); [tw] says a TIME_WAIT hold is configured (a guarded
-    control plane always holds one), steering [Ev_teardown] from
+    reaper) and the TIME_WAIT hold, steering [Ev_teardown] from
     [Phase Closed] into [Time_wait] instead of immediate
     reclamation. *)
 

@@ -74,11 +74,8 @@ let gcount t name = match t.guard with Some g -> Guard.count g name | None -> ()
 
 (* Teardown decisions go through the shared pure transition table
    ([Conn_state.step]) that FlexProve model-checks: [lstep] fixes the
-   table's mode bits from this CP's guard configuration (a guarded CP
-   always holds TIME_WAIT). *)
-let lstep t state ev =
-  let guarded = t.guard <> None in
-  Conn_state.step ~guard:guarded ~tw:guarded state ev
+   table's mode from this CP's guard configuration. *)
+let lstep t state ev = Conn_state.step ~guard:(t.guard <> None) state ev
 
 let phase_of t conn =
   Option.map

@@ -189,6 +189,20 @@ let replay ?(tw_ticks = 1024) (g : Config.guard) events =
   let cookie_sent = Hashtbl.create 64 in
   let established = Hashtbl.create 64 in
   let tw = Hashtbl.create 64 in  (* id -> expiry tick *)
+  (* Every TIME_WAIT insertion in order. Expiry ticks are tick +
+     tw_ticks, so they strictly increase along the queue: its live
+     front is both the next to expire and the oldest to recycle. An
+     entry is live while [tw] still maps its id to its expiry; removals
+     from [tw] leave the queue entry behind to be skipped. *)
+  let tw_order = Queue.create () in
+  let live (id, exp) = Hashtbl.find_opt tw id = Some exp in
+  let rec drop_stale () =
+    match Queue.peek_opt tw_order with
+    | Some e when not (live e) ->
+        ignore (Queue.pop tw_order);
+        drop_stale ()
+    | _ -> ()
+  in
   let lg =
     ref
       {
@@ -207,12 +221,16 @@ let replay ?(tw_ticks = 1024) (g : Config.guard) events =
   List.iteri
     (fun tick ev ->
       (* Expire TIME_WAIT entries. *)
-      let dead =
-        Hashtbl.fold
-          (fun id exp acc -> if tick >= exp then id :: acc else acc)
-          tw []
+      let rec expire () =
+        drop_stale ();
+        match Queue.peek_opt tw_order with
+        | Some (id, exp) when tick >= exp ->
+            ignore (Queue.pop tw_order);
+            Hashtbl.remove tw id;
+            expire ()
+        | _ -> ()
       in
-      List.iter (Hashtbl.remove tw) dead;
+      expire ();
       let l = !lg in
       match ev with
       | Ev_syn id ->
@@ -278,21 +296,14 @@ let replay ?(tw_ticks = 1024) (g : Config.guard) events =
       | Ev_close id ->
           if Hashtbl.mem established id then begin
             Hashtbl.remove established id;
-            (if Hashtbl.length tw >= Config.time_wait_max then
-               let oldest =
-                 Hashtbl.fold
-                   (fun id' exp acc ->
-                     match acc with
-                     | Some (_, e) when e <= exp -> acc
-                     | _ -> Some (id', exp))
-                   tw None
-               in
-               match oldest with
-               | Some (id', _) ->
-                   Hashtbl.remove tw id';
-                   lg := { !lg with lg_tw_recycled = !lg.lg_tw_recycled + 1 }
-               | None -> ());
-            Hashtbl.replace tw id (tick + tw_ticks)
+            if Hashtbl.length tw >= Config.time_wait_max then begin
+              drop_stale ();
+              let id', _ = Queue.pop tw_order in
+              Hashtbl.remove tw id';
+              lg := { !lg with lg_tw_recycled = !lg.lg_tw_recycled + 1 }
+            end;
+            Hashtbl.replace tw id (tick + tw_ticks);
+            Queue.push (id, tick + tw_ticks) tw_order
           end)
     events;
   !lg

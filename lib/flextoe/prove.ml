@@ -604,7 +604,7 @@ let check_graph g =
 module C = Conn_state
 
 type fsm_step =
-  guard:bool -> tw:bool -> C.lifecycle -> C.close_event ->
+  guard:bool -> C.lifecycle -> C.close_event ->
   C.lifecycle * C.close_output list
 
 type fsm_counterexample = {
@@ -644,9 +644,9 @@ let closed_dirs = function
 let local_events = [ C.Ev_teardown; C.Ev_reap_idle; C.Ev_tw_expire;
                      C.Ev_abort ]
 
-let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
+let check_fsm ?(step : fsm_step = C.step) ~guard () :
     (string list, fsm_counterexample) result =
-  let step = step ~guard ~tw in
+  let step = step ~guard in
   (* BFS of the reachable state space, recording one shortest event
      path per state for counterexamples. *)
   let paths : (C.lifecycle * (C.lifecycle * C.close_event) list) list ref =
@@ -704,7 +704,7 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
       (fun () ->
         let expected =
           List.filter
-            (fun s -> (s <> C.Time_wait) || tw)
+            (fun s -> (s <> C.Time_wait) || guard)
             C.all_lifecycles
         in
         match List.find_opt (fun s -> not (List.mem s reachable)) expected with
@@ -718,9 +718,9 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
                     (C.lifecycle_name s);
               }
         | None -> Ok ());
-      (* TIME_WAIT without a hold configured must stay unreachable. *)
+      (* Unguarded, no TIME_WAIT hold: it must stay unreachable. *)
       (fun () ->
-        if (not tw) && List.mem C.Time_wait reachable then
+        if (not guard) && List.mem C.Time_wait reachable then
           violation C.Time_wait
             "TIME_WAIT reachable although no hold is configured"
         else Ok ());
@@ -783,7 +783,7 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
          must be re-acknowledged) — the edge the seeded mutation
          drops. *)
       (fun () ->
-        if not (tw && List.mem C.Time_wait reachable) then Ok ()
+        if not (guard && List.mem C.Time_wait reachable) then Ok ()
         else
           match step C.Time_wait C.Ev_tw_fin with
           | C.Time_wait, outs when List.mem C.Out_reack outs -> Ok ()
@@ -862,8 +862,8 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
    counterexample — the moral equivalent of [flexlint san --seeded]
    for the model checker. *)
 let mutate f : fsm_step =
- fun ~guard ~tw s e ->
-  match f s e with Some r -> r | None -> C.step ~guard ~tw s e
+ fun ~guard s e ->
+  match f s e with Some r -> r | None -> C.step ~guard s e
 
 let fsm_mutations : (string * fsm_step) list =
   [
@@ -898,8 +898,8 @@ let fsm_mutations : (string * fsm_step) list =
           | _ -> None) );
   ]
 
-let fsm_dot ?(step : fsm_step = C.step) ~guard ~tw () =
-  let step = step ~guard ~tw in
+let fsm_dot ?(step : fsm_step = C.step) ~guard () =
+  let step = step ~guard in
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "digraph teardown {\n  rankdir=LR;\n  node [shape=ellipse];\n";

@@ -87,7 +87,6 @@ val check_graph : Graph_ir.t -> (report list, finding list) result
 
 type fsm_step =
   guard:bool ->
-  tw:bool ->
   Conn_state.lifecycle ->
   Conn_state.close_event ->
   Conn_state.lifecycle * Conn_state.close_output list
@@ -109,12 +108,11 @@ val counterexample_to_string : fsm_counterexample -> string
 val check_fsm :
   ?step:fsm_step ->
   guard:bool ->
-  tw:bool ->
   unit ->
   (string list, fsm_counterexample) result
 (** Model-checks [step] (default {!Conn_state.step}) against the
     teardown spec: no dead states among the feature-enabled lifecycle
-    states, TIME_WAIT unreachable unless a hold is configured, no
+    states, TIME_WAIT unreachable unless [guard] holds it, no
     transition reopens a closed direction, RECLAIMED absorbing and
     silent, TIME_WAIT entered only by tearing down a fully-closed
     flow, a retransmitted peer FIN into TIME_WAIT re-ACKed (RFC 793
@@ -126,9 +124,9 @@ val check_fsm :
 
 val fsm_mutations : (string * fsm_step) list
 (** Seeded single-transition mutations of {!Conn_state.step} — each
-    must be rejected by {!check_fsm} in at least one (guard, tw) mode;
+    must be rejected by {!check_fsm} with [guard] off or on;
     the checker's own negative test suite ([flexlint fsm --mutate]). *)
 
-val fsm_dot : ?step:fsm_step -> guard:bool -> tw:bool -> unit -> string
+val fsm_dot : ?step:fsm_step -> guard:bool -> unit -> string
 (** Graphviz rendering of the reachable transition graph, edges
     labelled [event / outputs]. *)
